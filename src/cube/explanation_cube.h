@@ -38,6 +38,13 @@ class ExplanationCube {
   ExplanationCube(const Table& table, const ExplanationRegistry& registry,
                   AggregateFunction f, int measure_idx, int threads = 1);
 
+  /// Same cube, accumulated over the row grouping `registry` was built
+  /// with (ExplanationRegistry::Build's `tuple_cells` for this `table`), so
+  /// the rows are not grouped a second time.
+  ExplanationCube(const Table& table, const ExplanationRegistry& registry,
+                  const TupleCells& tuple_cells, AggregateFunction f,
+                  int measure_idx, int threads = 1);
+
   /// Number of time buckets.
   size_t n() const { return overall_.size(); }
 

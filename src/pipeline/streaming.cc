@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_map>
 
 #include "src/common/check.h"
 #include "src/common/metrics.h"
@@ -43,11 +42,14 @@ StreamingTSExplain::StreamingTSExplain(const Table& initial,
 }
 
 void StreamingTSExplain::BuildEngine() {
-  registry_ =
-      ExplanationRegistry::Build(*table_, explain_by_, config_.max_order);
-  cube_ = std::make_unique<ExplanationCube>(
-      *table_, registry_, config_.aggregate, measure_idx_,
-      ResolveThreadCount(config_.threads));
+  {
+    TupleCells tuple_cells;
+    registry_ = ExplanationRegistry::Build(*table_, explain_by_,
+                                           config_.max_order, &tuple_cells);
+    cube_ = std::make_unique<ExplanationCube>(
+        *table_, registry_, tuple_cells, config_.aggregate, measure_idx_,
+        ResolveThreadCount(config_.threads));
+  }
   if (config_.smooth_window > 1) cube_->SmoothInPlace(config_.smooth_window);
   active_mask_ = ComputeActiveMask();
   SegmentExplainer::Options options;
@@ -76,6 +78,7 @@ std::vector<bool> StreamingTSExplain::ComputeActiveMask() const {
 void StreamingTSExplain::AppendBucket(const std::string& label,
                                       const std::vector<StreamRow>& rows) {
   Timer append_timer;
+  const size_t first_row = table_->num_rows();
   const TimeId t = table_->AddTimeBucket(label);
   for (const StreamRow& row : rows) {
     table_->AppendRow(t, row.dims, row.measures);
@@ -85,42 +88,25 @@ void StreamingTSExplain::AppendBucket(const std::string& label,
   // smoothed values, so rebuild in that configuration (documented).
   bool rebuild = config_.smooth_window > 1;
 
-  // Incremental path: accumulate the bucket's per-cell partials; bail to a
-  // rebuild if a never-seen cell shows up.
+  // Incremental path: resolve the cells of each distinct tuple in the
+  // bucket once, then accumulate the bucket's per-cell partials in row
+  // order; bail to a rebuild if a never-seen cell shows up.
   std::vector<AggState> slice_partials;
   AggState overall{};
+  TupleCells bucket;
+  if (!rebuild && !registry_.ResolveRows(*table_, first_row, &bucket)) {
+    rebuild = true;  // new cell: registry no longer covers the data
+  }
   if (!rebuild) {
     slice_partials.assign(registry_.num_explanations(), AggState{});
-    const int max_order = config_.max_order;
-    const size_t num_attrs = explain_by_.size();
-    std::vector<Predicate> preds;
-    for (const StreamRow& row : rows) {
+    for (size_t row = first_row; row < table_->num_rows(); ++row) {
       const double value =
-          measure_idx_ < 0 ? 1.0
-                           : row.measures[static_cast<size_t>(measure_idx_)];
+          measure_idx_ < 0 ? 1.0 : table_->measure(row, measure_idx_);
       overall.Add(value);
-      const uint32_t limit = 1u << num_attrs;
-      for (uint32_t mask = 1; mask < limit && !rebuild; ++mask) {
-        if (__builtin_popcount(mask) > max_order) continue;
-        preds.clear();
-        for (size_t idx = 0; idx < num_attrs; ++idx) {
-          if (mask & (1u << idx)) {
-            const AttrId attr = explain_by_[idx];
-            const ValueId v = table_->dictionary(attr).Lookup(
-                row.dims[static_cast<size_t>(attr)]);
-            TSE_CHECK_NE(v, kInvalidValueId);
-            preds.push_back(Predicate{attr, v});
-          }
-        }
-        const ExplId id =
-            registry_.Lookup(Explanation::FromPredicates(preds));
-        if (id == kInvalidExplId) {
-          rebuild = true;  // new cell: registry no longer covers the data
-          break;
-        }
-        slice_partials[static_cast<size_t>(id)].Add(value);
+      const ExplId* cells = bucket.CellsOfRow(row);
+      for (size_t s = 0; s < bucket.cells_per_tuple; ++s) {
+        slice_partials[static_cast<size_t>(cells[s])].Add(value);
       }
-      if (rebuild) break;
     }
   }
 

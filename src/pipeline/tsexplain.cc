@@ -80,11 +80,16 @@ TSExplain::TSExplain(const Table& table, TSExplainConfig config)
   Timer build_timer;
   explain_by_ = ResolveExplainBy(table, config_.explain_by_names);
   measure_idx_ = ResolveMeasure(table, config_.measure);
-  registry_ =
-      ExplanationRegistry::Build(table, explain_by_, config_.max_order);
-  cube_ = std::make_unique<ExplanationCube>(
-      table, registry_, config_.aggregate, measure_idx_,
-      ResolveThreadCount(config_.threads));
+  {
+    // One grouping of the rows serves both the registry and the cube; it
+    // is dropped as soon as the cube is built.
+    TupleCells tuple_cells;
+    registry_ = ExplanationRegistry::Build(table, explain_by_,
+                                           config_.max_order, &tuple_cells);
+    cube_ = std::make_unique<ExplanationCube>(
+        table, registry_, tuple_cells, config_.aggregate, measure_idx_,
+        ResolveThreadCount(config_.threads));
+  }
   if (config_.smooth_window > 1) {
     cube_->SmoothInPlace(config_.smooth_window);
   }

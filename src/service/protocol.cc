@@ -1,11 +1,13 @@
 #include "src/service/protocol.h"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
 #include "src/common/metrics.h"
 #include "src/common/metrics_history.h"
 #include "src/common/strings.h"
+#include "src/common/thread_pool.h"
 #include "src/common/timer.h"
 #include "src/cube/score_kernels.h"
 #include "src/seg/segment_distance.h"
@@ -219,7 +221,13 @@ bool ParseQueryConfig(const JsonValue& request, TSExplainConfig* config,
   config->fixed_k = request.GetInt("k", config->fixed_k);
   config->max_k = request.GetInt("max_k", config->max_k);
   config->smooth_window = request.GetInt("smooth", config->smooth_window);
-  config->threads = request.GetInt("threads", config->threads);
+  // A request may not ask for more threads than the shared pool has: the
+  // cold engine build hands this count to the cube's ParallelFor, outside
+  // the admission grant, so an oversized value would queue idle helper
+  // tasks. Thread counts never change results. Negative values are left
+  // for validation to reject.
+  config->threads = std::min(request.GetInt("threads", config->threads),
+                             ThreadPool::Shared().size());
   const std::string diff = request.GetString("diff_metric", "abs");
   if (!ParseDiffMetric(diff, &config->diff_metric)) {
     *error = "unknown diff_metric: " + diff;

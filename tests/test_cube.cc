@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/cube/canonical_mask.h"
 #include "src/cube/explanation_cube.h"
 #include "src/cube/support_filter.h"
@@ -47,6 +49,38 @@ TEST(Cube, SliceSeriesMatchesGroupByEngine) {
     for (size_t i = 0; i < expected.values.size(); ++i) {
       EXPECT_DOUBLE_EQ(actual.values[i], expected.values[i])
           << reg.explanation(e).ToString(t) << " @ " << i;
+    }
+  }
+}
+
+TEST(Cube, SharedGroupingBuildsTheSameCube) {
+  // Enough rows for the parallel accumulation path; explain_by out of
+  // schema order.
+  Table table(Schema("t", {"A", "B", "C"}, {"m"}));
+  for (int t = 0; t < 16; ++t) table.AddTimeBucket(std::to_string(t));
+  for (int row = 0; row < 6000; ++row) {
+    table.AppendRow(row % 16,
+                    {"a" + std::to_string(row % 7),
+                     "b" + std::to_string((row / 3) % 5),
+                     "c" + std::to_string((row * 7) % 11)},
+                    {0.25 * (row % 13) + 0.1});
+  }
+  TupleCells tuple_cells;
+  const auto reg = ExplanationRegistry::Build(table, {2, 0, 1}, 2,
+                                              &tuple_cells);
+  for (int threads : {1, 4}) {
+    const ExplanationCube shared(table, reg, tuple_cells,
+                                 AggregateFunction::kAvg, 0, threads);
+    const ExplanationCube standalone(table, reg, AggregateFunction::kAvg, 0,
+                                     threads);
+    ASSERT_EQ(shared.n(), standalone.n());
+    for (size_t t = 0; t < shared.n(); ++t) {
+      EXPECT_EQ(shared.Overall(t), standalone.Overall(t));
+      for (ExplId e = 0; e < static_cast<ExplId>(reg.num_explanations());
+           ++e) {
+        ASSERT_EQ(shared.SliceValue(e, t), standalone.SliceValue(e, t))
+            << "cell " << e << " t " << t << " threads " << threads;
+      }
     }
   }
 }

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "src/common/json.h"
+#include "src/common/thread_pool.h"
 #include "src/service/explain_service.h"
 #include "src/service/protocol.h"
 #include "src/table/csv_reader.h"
@@ -41,20 +42,38 @@ void WriteRawFile(const std::string& path, const std::string& bytes) {
   std::fclose(f);
 }
 
+void RegisterSmallDataset(ExplainService& service) {
+  std::string error;
+  CsvOptions options;
+  options.time_column = "time";
+  options.measure_columns = {"value"};
+  ASSERT_TRUE(service.registry().RegisterCsvText(
+      "ds",
+      "time,region,value\nd0,east,1\nd0,west,2\nd1,east,3\nd1,west,1\n"
+      "d2,east,2\nd2,west,5\nd3,east,4\nd3,west,2\n",
+      options, &error))
+      << error;
+}
+
+// Everything from "result": on, minus the wall-clock "timing_ms" block:
+// the part of an explain response that must not depend on the process,
+// the thread count or the host's speed.
+std::string ResultPart(const std::string& response) {
+  const size_t at = response.find("\"result\":");
+  EXPECT_NE(at, std::string::npos) << response;
+  if (at == std::string::npos) return std::string();
+  std::string result = response.substr(at);
+  const size_t begin = result.find("\"timing_ms\":{");
+  EXPECT_NE(begin, std::string::npos) << response;
+  if (begin != std::string::npos) {
+    result.erase(begin, result.find('}', begin) - begin + 1);
+  }
+  return result;
+}
+
 class HostileProtocolTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    std::string error;
-    CsvOptions options;
-    options.time_column = "time";
-    options.measure_columns = {"value"};
-    ASSERT_TRUE(service_.registry().RegisterCsvText(
-        "ds",
-        "time,region,value\nd0,east,1\nd0,west,2\nd1,east,3\nd1,west,1\n"
-        "d2,east,2\nd2,west,5\nd3,east,4\nd3,west,2\n",
-        options, &error))
-        << error;
-  }
+  void SetUp() override { RegisterSmallDataset(service_); }
 
   // Transport loop in miniature: parse-or-parse-error, then Handle. Also
   // asserts the connection-alive contract on every response.
@@ -255,6 +274,53 @@ TEST_F(HostileProtocolTest, StructurallyWrongRequestsAnswerOnce) {
     EXPECT_NE(response.find("\"ok\":false"), std::string::npos)
         << line << " -> " << response;
   }
+  ExpectStillServing();
+}
+
+TEST_F(HostileProtocolTest, OversizedThreadCountIsClampedToThePool) {
+  // The parser caps "threads" at the shared pool size: the cold engine
+  // build hands it to the cube's ParallelFor, which the admission grant
+  // does not cover. Explicit counts within the pool and 0 (= auto) pass
+  // through; negatives still reach validation and are rejected.
+  const int pool = ThreadPool::Shared().size();
+  JsonValue request;
+  std::string error;
+  TSExplainConfig config;
+  ASSERT_TRUE(ParseJson(R"({"threads":1000})", &request, &error)) << error;
+  ASSERT_TRUE(ParseQueryConfig(request, &config, &error)) << error;
+  EXPECT_EQ(config.threads, pool);
+  ASSERT_TRUE(ParseJson(R"({"threads":0})", &request, &error)) << error;
+  ASSERT_TRUE(ParseQueryConfig(request, &config, &error)) << error;
+  EXPECT_EQ(config.threads, 0);
+  ASSERT_TRUE(ParseJson(R"({"threads":1})", &request, &error)) << error;
+  ASSERT_TRUE(ParseQueryConfig(request, &config, &error)) << error;
+  EXPECT_EQ(config.threads, 1);
+  const std::string negative = Roundtrip(
+      R"({"op":"explain","id":1,"dataset":"ds","measure":"value",)"
+      R"("explain_by":["region"],"threads":-3})");
+  EXPECT_NE(negative.find("\"code\":\"invalid_query\""), std::string::npos)
+      << negative;
+
+  // The clamped cold answer is byte-identical to a threads:1 cold answer
+  // from a second, independent service.
+  const std::string oversized = Roundtrip(
+      R"({"op":"explain","id":2,"dataset":"ds","measure":"value",)"
+      R"("explain_by":["region"],"threads":1000})");
+  EXPECT_NE(oversized.find("\"ok\":true"), std::string::npos) << oversized;
+  ExplainService single_service;
+  RegisterSmallDataset(single_service);
+  ProtocolHandler single_handler(single_service);
+  JsonValue single_request;
+  ASSERT_TRUE(ParseJson(
+      R"({"op":"explain","id":2,"dataset":"ds","measure":"value",)"
+      R"("explain_by":["region"],"threads":1})",
+      &single_request, &error))
+      << error;
+  const std::string single = single_handler.Handle(single_request);
+  EXPECT_NE(single.find("\"cache_hit\":false"), std::string::npos) << single;
+  EXPECT_NE(oversized.find("\"cache_hit\":false"), std::string::npos)
+      << oversized;
+  EXPECT_EQ(ResultPart(oversized), ResultPart(single));
   ExpectStillServing();
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "src/datagen/synthetic.h"
 #include "src/pipeline/streaming.h"
@@ -91,6 +93,55 @@ TEST(Streaming, AppendWithKnownCellsIsIncremental) {
   const TSExplainResult second = streaming.Explain();
   EXPECT_EQ(second.segmentation.cuts.back(), 79);
   EXPECT_GE(second.segmentation.num_segments(), 1);
+}
+
+TEST(Streaming, IncrementalPartialsEqualAFreshCube) {
+  // Two explain-by attributes at order 2, with tuples repeated inside each
+  // appended bucket: the per-tuple incremental append must produce the
+  // exact partials a cube built from scratch on the grown table holds.
+  Table table(Schema("t", {"A", "B"}, {"value"}));
+  std::vector<std::vector<StreamRow>> buckets;
+  for (int t = 0; t < 10; ++t) {
+    std::vector<StreamRow> rows;
+    for (int i = 0; i < 12; ++i) {
+      rows.push_back(StreamRow{{"a" + std::to_string(i % 3),
+                                "b" + std::to_string((i + t) % 2)},
+                               {0.5 * i + 0.25 * t + 0.1}});
+    }
+    buckets.push_back(std::move(rows));
+  }
+  for (int t = 0; t < 4; ++t) {
+    table.AddTimeBucket(std::to_string(t));
+    for (const StreamRow& row : buckets[static_cast<size_t>(t)]) {
+      table.AppendRow(t, row.dims, row.measures);
+    }
+  }
+  TSExplainConfig config;
+  config.measure = "value";
+  config.explain_by_names = {"B", "A"};
+  config.max_order = 2;
+  StreamingTSExplain streaming(table, config);
+  for (int t = 4; t < 10; ++t) {
+    streaming.AppendBucket(std::to_string(t),
+                           buckets[static_cast<size_t>(t)]);
+    ASSERT_FALSE(streaming.last_append_rebuilt()) << "bucket " << t;
+  }
+
+  const auto registry =
+      ExplanationRegistry::Build(streaming.table(), {1, 0}, 2);
+  const ExplanationCube fresh(streaming.table(), registry,
+                              AggregateFunction::kSum, 0);
+  const ExplanationCube& incremental = streaming.cube();
+  ASSERT_EQ(incremental.n(), 10u);
+  ASSERT_EQ(incremental.num_explanations(), registry.num_explanations());
+  for (size_t t = 0; t < 10; ++t) {
+    EXPECT_EQ(incremental.Overall(t), fresh.Overall(t));
+    for (ExplId e = 0; e < static_cast<ExplId>(registry.num_explanations());
+         ++e) {
+      EXPECT_EQ(incremental.SliceValue(e, t), fresh.SliceValue(e, t))
+          << "cell " << e << " t " << t;
+    }
+  }
 }
 
 TEST(Streaming, NewCategoryForcesRebuild) {
