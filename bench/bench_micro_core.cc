@@ -1,5 +1,5 @@
 // Micro/ablation benchmarks (google-benchmark) for the design choices
-// DESIGN.md calls out: Cascading Analysts cost vs epsilon, guess-and-verify
+// behind PAPER.md's modules and optimizations: Cascading Analysts cost vs epsilon, guess-and-verify
 // initial guess, variance-table granularity (vanilla vs sketch), diff-score
 // lookups, matrix profile, and the K-segmentation DP.
 //

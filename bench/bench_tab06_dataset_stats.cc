@@ -44,7 +44,7 @@ void Run() {
                 CountActive(canonical), CountActive(filtered), cube.n());
   }
   std::printf("\n  (epsilon counts hierarchy-deduped candidate cells; see "
-              "DESIGN.md)\n");
+              "PAPER.md)\n");
   std::printf("  total time: %s\n",
               bench::FormatMs(timer.ElapsedMs()).c_str());
 }

@@ -1,6 +1,6 @@
 // Exact L2-optimal piecewise-linear segmentation via dynamic programming.
 //
-// Bottom-Up / Top-Down / Sliding-Window are greedy heuristics; this solves
+// Bottom-Up is a greedy heuristic; this solves
 // min over K-segmentations of sum of per-segment least-squares SSE exactly
 // (O(n^2 K) with the SseOracle's O(1) segment costs). It is used by the
 // ablation benches to show that TSExplain's advantage on mix-change data

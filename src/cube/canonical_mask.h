@@ -10,8 +10,8 @@
 // 503 stocks exactly, i.e. redundant conjunctions are not counted; we
 // reproduce that with this canonical mask: within every group of cells
 // whose partial series are bit-identical, only the lowest-order (then
-// lowest-id) representative stays selectable. See DESIGN.md for the
-// non-overlap trade-off discussion.
+// lowest-id) representative stays selectable. See PAPER.md, "Design
+// notes", for the non-overlap trade-off.
 
 #ifndef TSEXPLAIN_CUBE_CANONICAL_MASK_H_
 #define TSEXPLAIN_CUBE_CANONICAL_MASK_H_

@@ -7,14 +7,16 @@
 // series' cutting points and newly arrived data points, and updates the
 // segmentation results."
 //
-// StreamingTSExplain implements exactly that: the first Explain() is a full
-// run; every AppendBucket() extends the cube with new partials (the
+// StreamingTSExplain implements exactly that on a batch TSExplain engine
+// built over its own growing table: the first Explain() is a full run;
+// every AppendBucket() extends the engine's cube with new partials (the
 // explainer's caches for old segments remain valid because gamma depends
 // only on the endpoint partials, which never change); subsequent Explain()
 // calls restrict the cut candidates to { previous cuts } + { points
 // appended since the last run }, making each refresh cheap instead of
-// O(n^3) wide. If an appended row introduces a never-seen cell, the
-// registry/cube are rebuilt (rare; documented in DESIGN.md).
+// O(n^3) wide. When the engine cannot absorb a bucket incrementally (see
+// TSExplain::AppendBucket; typically an appended row introduces a
+// never-seen cell), a new engine is built over the grown table.
 
 #ifndef TSEXPLAIN_PIPELINE_STREAMING_H_
 #define TSEXPLAIN_PIPELINE_STREAMING_H_
@@ -46,7 +48,7 @@ struct StreamRow {
 /// therefore inherits the caller's serialization.
 class StreamingTSExplain {
  public:
-  /// Copies `initial` into the internal table and builds the cube.
+  /// Copies `initial` into the internal table and builds the engine.
   /// Sketch (O2) applies to the first full run only; incremental runs
   /// already restrict the candidates.
   StreamingTSExplain(const Table& initial, TSExplainConfig config);
@@ -66,12 +68,12 @@ class StreamingTSExplain {
 
   /// The live cube (overall/slice series for report serialization; see
   /// report_json.h's cube-level RenderJsonReport overload).
-  const ExplanationCube& cube() const { return *cube_; }
+  const ExplanationCube& cube() const { return engine_->cube(); }
 
   /// The internally owned, growing table (schema lookups for appends).
   const Table& table() const { return *table_; }
 
-  /// Whether the last AppendBucket forced a full rebuild (new cells).
+  /// Whether the last AppendBucket forced a full rebuild of the engine.
   bool last_append_rebuilt() const { return last_append_rebuilt_; }
 
   /// Append observer: invoked at the END of every AppendBucket (after the
@@ -88,20 +90,8 @@ class StreamingTSExplain {
   }
 
  private:
-  void BuildEngine();
-  std::vector<bool> ComputeActiveMask() const;
-  TSExplainResult RunWithCandidates(const std::vector<int>& positions,
-                                    int threads);
-
   std::unique_ptr<Table> table_;
-  TSExplainConfig config_;
-  std::vector<AttrId> explain_by_;
-  int measure_idx_ = -1;
-  ExplanationRegistry registry_;
-  std::unique_ptr<ExplanationCube> cube_;
-  /// Combined canonical + support-filter mask (empty = all selectable).
-  std::vector<bool> active_mask_;
-  std::unique_ptr<SegmentExplainer> explainer_;
+  std::unique_ptr<TSExplain> engine_;  // over *table_
 
   std::vector<int> last_cuts_;
   int last_n_ = 0;

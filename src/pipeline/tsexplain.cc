@@ -94,24 +94,8 @@ TSExplain::TSExplain(const Table& table, TSExplainConfig config)
     cube_->SmoothInPlace(config_.smooth_window);
   }
 
-  // Selectable mask: dedupe of equal-slice conjunctions, then the support
-  // filter on top.
-  canonical_count_ = registry_.num_explanations();
-  active_count_ = registry_.num_explanations();
-  if (config_.dedupe_redundant) {
-    active_mask_ = ComputeCanonicalMask(*cube_, registry_);
-    canonical_count_ = CountActive(active_mask_);
-    active_count_ = canonical_count_;
-  }
-  if (config_.use_filter) {
-    std::vector<bool> filter =
-        ComputeSupportFilter(*cube_, config_.filter_ratio);
-    active_mask_ = active_mask_.empty() ? std::move(filter)
-                                        : AndMasks(active_mask_, filter);
-    active_count_ = CountActive(active_mask_);
-  }
   if (!config_.exclude.empty()) {
-    std::vector<bool> allowed(registry_.num_explanations(), true);
+    exclude_mask_.assign(registry_.num_explanations(), true);
     for (size_t e = 0; e < registry_.num_explanations(); ++e) {
       for (const Predicate& p :
            registry_.explanation(static_cast<ExplId>(e)).predicates()) {
@@ -120,15 +104,13 @@ TSExplain::TSExplain(const Table& table, TSExplainConfig config)
             table_.dictionary(p.attr).ToString(p.value);
         for (const std::string& banned : config_.exclude) {
           if (banned == rendered || banned == value) {
-            allowed[e] = false;
+            exclude_mask_[e] = false;
           }
         }
       }
     }
-    active_mask_ = active_mask_.empty() ? std::move(allowed)
-                                        : AndMasks(active_mask_, allowed);
-    active_count_ = CountActive(active_mask_);
   }
+  RefreshActiveMask();
 
   SegmentExplainer::Options options;
   options.m = config_.m;
@@ -145,7 +127,73 @@ TSExplainResult TSExplain::Run() {
   return Run(SegmentationSpec::FromConfig(config_));
 }
 
+bool TSExplain::RefreshActiveMask() {
+  // Dedupe of equal-slice conjunctions, then the support filter and the
+  // exclude list on top.
+  std::vector<bool> mask;
+  canonical_count_ = registry_.num_explanations();
+  if (config_.dedupe_redundant) {
+    mask = ComputeCanonicalMask(*cube_, registry_);
+    canonical_count_ = CountActive(mask);
+  }
+  if (config_.use_filter) {
+    std::vector<bool> filter =
+        ComputeSupportFilter(*cube_, config_.filter_ratio);
+    mask = mask.empty() ? std::move(filter) : AndMasks(mask, filter);
+  }
+  if (!exclude_mask_.empty()) {
+    mask = mask.empty() ? exclude_mask_ : AndMasks(mask, exclude_mask_);
+  }
+  active_count_ =
+      mask.empty() ? registry_.num_explanations() : CountActive(mask);
+  if (mask == active_mask_) return false;
+  // Swapped in place: the explainer holds a pointer to active_mask_.
+  active_mask_.swap(mask);
+  return true;
+}
+
+bool TSExplain::AppendBucket(size_t first_row) {
+  // Smoothing mixes past raw partials into new buckets and the cube keeps
+  // only smoothed values; an append that reused the last bucket's label
+  // merged into that bucket instead of adding one.
+  if (config_.smooth_window > 1 ||
+      table_.num_time_buckets() != cube_->n() + 1) {
+    return false;
+  }
+  TupleCells bucket;
+  if (!registry_.ResolveRows(table_, first_row, &bucket)) return false;
+
+  // Accumulate the bucket's per-cell partials in row order.
+  std::vector<AggState> slice_partials(registry_.num_explanations());
+  AggState overall{};
+  for (size_t row = first_row; row < table_.num_rows(); ++row) {
+    const double value =
+        measure_idx_ < 0 ? 1.0 : table_.measure(row, measure_idx_);
+    overall.Add(value);
+    const ExplId* cells = bucket.CellsOfRow(row);
+    for (size_t s = 0; s < bucket.cells_per_tuple; ++s) {
+      slice_partials[static_cast<size_t>(cells[s])].Add(value);
+    }
+  }
+  cube_->AppendBucket(overall, slice_partials, table_.time_labels().back());
+  // A cell whose status flipped (support gained, equal slices diverged)
+  // may make cached explanations stale.
+  if (RefreshActiveMask()) explainer_->ClearCache();
+  return true;
+}
+
 TSExplainResult TSExplain::Run(const SegmentationSpec& spec) {
+  return Segment(spec, nullptr, build_ms_);
+}
+
+TSExplainResult TSExplain::RunOnCandidates(
+    const SegmentationSpec& spec, const std::vector<int>* candidates) {
+  return Segment(spec, candidates, /*build_ms=*/0.0);
+}
+
+TSExplainResult TSExplain::Segment(const SegmentationSpec& spec,
+                                   const std::vector<int>* candidates,
+                                   double build_ms) {
   Timer total_timer;
   const ExplainerTiming timing_before = explainer_->timing();
 
@@ -156,9 +204,11 @@ TSExplainResult TSExplain::Run(const SegmentationSpec& spec) {
   const int n = explainer_->n();
   VarianceCalculator calc(*explainer_, spec.variance_metric);
 
-  // Candidate cut positions: all points, or the sketch (O2).
+  // Candidate cut positions: the caller's, all points, or the sketch (O2).
   std::vector<int> positions;
-  if (spec.use_sketch) {
+  if (candidates != nullptr) {
+    positions = *candidates;
+  } else if (spec.use_sketch) {
     SketchResult sketch = SelectSketch(calc, spec.sketch_params);
     result.sketch_positions = sketch.positions;
     positions = std::move(sketch.positions);
@@ -221,7 +271,7 @@ TSExplainResult TSExplain::Run(const SegmentationSpec& spec) {
   // (concurrent Prewarm / threads > 1 per-thread sums).
   const ExplainerTiming timing_after = explainer_->timing();
   result.timing = TimingBreakdown::Partition(
-      build_ms_, timing_after.precompute_ms - timing_before.precompute_ms,
+      build_ms, timing_after.precompute_ms - timing_before.precompute_ms,
       timing_after.cascading_ms - timing_before.cascading_ms,
       total_timer.ElapsedMs());
   return result;

@@ -194,6 +194,23 @@ class TSExplain {
   /// spec variations of its query without re-scanning the relation.
   TSExplainResult Run(const SegmentationSpec& spec);
 
+  /// Same as Run(spec), but the DP only cuts at `candidates` (sorted
+  /// positions including 0 and n-1); nullptr picks them as Run(spec) does.
+  /// Charges no engine build time: a streaming session runs one engine
+  /// many times (paper section 8 re-segments over its old cuts plus the
+  /// newly arrived points).
+  TSExplainResult RunOnCandidates(const SegmentationSpec& spec,
+                                  const std::vector<int>* candidates);
+
+  /// Absorbs rows [first_row, table().num_rows()), appended to the table
+  /// as one new time bucket, into the cube, and refreshes the selectable
+  /// mask (cached explanations of old segments stay valid: gamma depends
+  /// only on the endpoint partials). Returns false, without touching the
+  /// engine, when it cannot follow the table incrementally: a row holds a
+  /// never-seen cell, smoothing is on, or the table did not grow by
+  /// exactly one bucket. The caller then builds a new engine.
+  bool AppendBucket(size_t first_row);
+
   /// Recomputes the total variance of an arbitrary scheme under this
   /// engine's metric at unit-object granularity (used for Table 7 quality
   /// comparisons; cuts must include both endpoints).
@@ -211,15 +228,29 @@ class TSExplain {
   std::vector<ExplanationItem> ExplainSegment(int begin, int end);
 
  private:
+  /// Module (c) and the per-segment rendering over `candidates` (nullptr:
+  /// the sketch under O2, else every point); `build_ms` is charged to
+  /// module (a).
+  TSExplainResult Segment(const SegmentationSpec& spec,
+                          const std::vector<int>* candidates,
+                          double build_ms);
+
+  /// Recomputes the selectable mask and its counts from the cube; returns
+  /// whether the mask changed.
+  bool RefreshActiveMask();
+
   const Table& table_;
   TSExplainConfig config_;
   std::vector<AttrId> explain_by_;
   int measure_idx_ = -1;
   ExplanationRegistry registry_;
   std::unique_ptr<ExplanationCube> cube_;
-  /// Combined selectable mask: canonical (dedupe) AND support filter.
-  /// Empty when neither option is enabled.
+  /// Combined selectable mask: canonical (dedupe) AND support filter AND
+  /// exclude list. Empty when no option is enabled.
   std::vector<bool> active_mask_;
+  /// Cells the exclude list leaves selectable (empty = no exclude list).
+  /// Depends on the registry alone, so it is computed once per build.
+  std::vector<bool> exclude_mask_;
   size_t canonical_count_ = 0;
   size_t active_count_ = 0;
   std::unique_ptr<SegmentExplainer> explainer_;

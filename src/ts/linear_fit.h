@@ -1,8 +1,8 @@
 // Least-squares line fitting and piecewise-linear approximation errors.
 //
 // These are the substrate for the explanation-agnostic segmentation
-// baselines (Keogh et al. [21]): Bottom-Up, Top-Down, and Sliding-Window all
-// score a candidate segment by how well a straight line approximates it.
+// baselines (Keogh et al. [21]): Bottom-Up and the optimal PLA score a
+// candidate segment by how well a straight line approximates it.
 
 #ifndef TSEXPLAIN_TS_LINEAR_FIT_H_
 #define TSEXPLAIN_TS_LINEAR_FIT_H_
@@ -34,7 +34,7 @@ double InterpolationSse(const std::vector<double>& values, size_t begin,
                         size_t end);
 
 /// Incremental SSE oracle: precomputes prefix sums so the least-squares SSE
-/// of any segment is O(1). Used by the O(n^2) Top-Down recursion and by
+/// of any segment is O(1). Used by the O(n^2 K) optimal PLA and by
 /// property tests that sweep all segments.
 class SseOracle {
  public:

@@ -143,6 +143,20 @@ else
   echo "ok: untracked_history flags only the unregistered name"
 fi
 
+# R8: a pipeline file outside tsexplain.cc building its own DP.
+expect_violation forked_engine forked_engine.cc \
+  "src/pipeline/forked_engine.cc" "forked-engine"
+
+# R8 must fire on exactly the DP construction: members, references,
+# Options and comment/string mentions in the same fixture stay quiet.
+if [ "$(printf '%s\n' "${OUT}" | grep -c "forked-engine")" -ne 1 ]; then
+  fail "forked_engine: expected exactly one R8 violation: ${OUT}"
+elif ! printf '%s' "${OUT}" | grep -q "forked_engine.cc:21:"; then
+  fail "forked_engine: wrong line flagged: ${OUT}"
+else
+  echo "ok: forked_engine flags only the DP construction"
+fi
+
 # Clean tree: annotated + allow-listed mutexes, unique slugs — exit 0.
 clean_root="${TMPDIR_ROOT}/clean"
 mkdir -p "${clean_root}/src/service" "${clean_root}/tools" \

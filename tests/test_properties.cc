@@ -98,7 +98,7 @@ TEST_P(VarianceMetricSweep, PipelineRunsAndIsWellFormed) {
   // variance of each segment is in [0,1], so the objective is bounded.
   EXPECT_LE(result.segmentation.total_variance, 59.0);
   // Curve approximately non-increasing where feasible (exact monotonicity
-  // is not guaranteed by the formulation -- see DESIGN.md -- but on this
+  // is not guaranteed by the formulation -- see PAPER.md -- but on this
   // low-noise dataset large regressions would signal a DP bug).
   const auto& curve = result.k_variance_curve;
   for (size_t i = 1; i < curve.size(); ++i) {

@@ -870,6 +870,76 @@ TEST(ProtocolTest, HandlerEndToEnd) {
   EXPECT_NE(gone.find("\"code\":\"not_found\""), std::string::npos);
 }
 
+TEST(ProtocolTest, SessionHonoursExcludeLikeExplain) {
+  ExplainService service;
+  ProtocolHandler handler(service);
+  auto handle = [&](const std::string& line) {
+    JsonValue request;
+    std::string parse_error;
+    EXPECT_TRUE(ParseJson(line, &request, &parse_error)) << parse_error;
+    return handler.Handle(request);
+  };
+  // east is the big mover (up, then down); muted, west and north explain.
+  std::string csv = "date,region,sales\\n";
+  for (int t = 0; t < 16; ++t) {
+    const int east = t < 8 ? 10 + 9 * t : 82 - 7 * (t - 8);
+    const int west = 60 - 2 * t;
+    const int north = t < 10 ? 5 : 5 + 4 * (t - 10);
+    csv += std::to_string(t) + ",east," + std::to_string(east) + "\\n";
+    csv += std::to_string(t) + ",west," + std::to_string(west) + "\\n";
+    csv += std::to_string(t) + ",north," + std::to_string(north) + "\\n";
+  }
+  const std::string reg = handle(
+      R"({"op":"register","id":1,"name":"sales","csv":")" + csv +
+      R"(","time_column":"date","measures":["sales"]})");
+  ASSERT_NE(reg.find("\"ok\":true"), std::string::npos) << reg;
+
+  const std::string fields =
+      R"("dataset":"sales","measure":"sales","explain_by":["region"],)"
+      R"("k":3,"exclude":["region=east"]})";
+  const std::string explain =
+      handle(R"({"op":"explain","id":2,)" + fields);
+  const std::string open =
+      handle(R"({"op":"open_session","id":3,)" + fields);
+  ASSERT_NE(open.find("\"session\":1"), std::string::npos) << open;
+  const std::string session =
+      handle(R"({"op":"explain_session","id":4,"session":1})");
+  EXPECT_EQ(explain.find("region=east"), std::string::npos) << explain;
+  EXPECT_EQ(session.find("region=east"), std::string::npos) << session;
+
+  JsonValue batch_json, session_json;
+  std::string parse_error;
+  ASSERT_TRUE(ParseJson(explain, &batch_json, &parse_error)) << parse_error;
+  ASSERT_TRUE(ParseJson(session, &session_json, &parse_error)) << parse_error;
+  const JsonValue* batch = batch_json.Find("result");
+  const JsonValue* streamed = session_json.Find("result");
+  ASSERT_NE(batch, nullptr) << explain;
+  ASSERT_NE(streamed, nullptr) << session;
+  EXPECT_EQ(streamed->GetInt("epsilon"), batch->GetInt("epsilon"));
+  EXPECT_EQ(streamed->GetInt("filtered_epsilon"),
+            batch->GetInt("filtered_epsilon"));
+  EXPECT_EQ(batch->GetInt("filtered_epsilon"),
+            batch->GetInt("epsilon") - 1);
+  const std::vector<JsonValue>& batch_segments =
+      batch->Find("segments")->array();
+  const std::vector<JsonValue>& session_segments =
+      streamed->Find("segments")->array();
+  ASSERT_EQ(session_segments.size(), batch_segments.size());
+  double variance_sum = 0.0;
+  for (size_t i = 0; i < batch_segments.size(); ++i) {
+    ASSERT_EQ(session_segments[i].GetInt("begin"),
+              batch_segments[i].GetInt("begin"));
+    ASSERT_EQ(session_segments[i].GetInt("end"),
+              batch_segments[i].GetInt("end"));
+    EXPECT_EQ(session_segments[i].GetDouble("variance"),
+              batch_segments[i].GetDouble("variance"));
+    EXPECT_EQ(session_segments[i].GetBool("high_variance_hint"),
+              batch_segments[i].GetBool("high_variance_hint"));
+    variance_sum += batch_segments[i].GetDouble("variance");
+  }
+  EXPECT_GT(variance_sum, 0.0);
+}
+
 TEST(ProtocolTest, OverloadAndTenantWireShapes) {
   // Stats counters come from the process-global metrics registry.
   MetricRegistry::Global().ResetForTest();

@@ -1,4 +1,4 @@
-// Tests for the real-world dataset simulators (DESIGN.md substitutions):
+// Tests for the real-world dataset simulators (PAPER.md, "Design notes"):
 // shapes, cardinalities, and the narrative structure each case study needs.
 
 #include <gtest/gtest.h>

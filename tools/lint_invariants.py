@@ -69,6 +69,13 @@ R7   unregistered-history-metric: every string literal passed to
      typo'd name would never be noticed. Dynamically built names are
      skipped, as in R3/R4.
 
+R8   forked-engine: under src/pipeline/ and src/service/, only
+     src/pipeline/tsexplain.cc may call ExplanationRegistry::Build or
+     VarianceTable::Compute, or construct a SegmentExplainer or a
+     KSegmentationDp. Batch runs and streaming sessions must share one
+     engine build and one segmentation body, so their answers cannot
+     drift apart. Holding, passing or configuring those parts is fine.
+
 Exit status: 0 when clean, 1 with one `RULE: file:line: message` line per
 violation otherwise.
 
@@ -631,6 +638,40 @@ def check_unchecked_bytereader(root, violations):
                      m.group(1), m.group(2), ALLOW_UNCHECKED_READER)))
 
 
+ENGINE_OWNER = "src/pipeline/tsexplain.cc"
+# Matched against stripped code: the engine-building calls, and
+# constructions (make_unique/new, a named local, or a temporary) of the
+# explainer and the DP. `SegmentExplainer::Options`, pointers and
+# references do not match.
+ENGINE_PART = r"(?:tsexplain::)?(?:SegmentExplainer|KSegmentationDp)"
+FORKED_ENGINE = re.compile(
+    r"\b(?:ExplanationRegistry::Build|VarianceTable::Compute)\s*\("
+    r"|\b(?:make_unique|make_shared)\s*<\s*" + ENGINE_PART + r"\s*>"
+    r"|\bnew\s+" + ENGINE_PART + r"\b"
+    r"|\b" + ENGINE_PART + r"(?:\s+\w+)?\s*[({]")
+
+
+def check_forked_engine(root, violations):
+    """R8: one engine build and one segmentation body."""
+    for path in iter_files(root, [os.path.join("src", "pipeline"),
+                                  os.path.join("src", "service")],
+                           {".h", ".cc"}):
+        rel = relpath(root, path)
+        if rel == ENGINE_OWNER:
+            continue
+        with open(path, encoding="utf-8") as f:
+            code = strip_comments_and_strings(f.read())
+        for lineno, line in enumerate(code.splitlines(), 1):
+            m = FORKED_ENGINE.search(line)
+            if m:
+                violations.append(
+                    ("forked-engine", rel, lineno,
+                     "'%s' outside %s: drive a TSExplain engine "
+                     "(Run / RunOnCandidates / AppendBucket) instead of "
+                     "rebuilding its parts" % (
+                         " ".join(m.group(0).split()), ENGINE_OWNER)))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--root", default=".",
@@ -647,6 +688,7 @@ def main():
     check_history_metrics(root, violations)
     check_unbounded_decode_allocs(root, violations)
     check_unchecked_bytereader(root, violations)
+    check_forked_engine(root, violations)
 
     for rule, rel, lineno, message in violations:
         print("%s: %s:%d: %s" % (rule, rel, lineno, message))
