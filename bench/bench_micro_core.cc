@@ -26,6 +26,7 @@
 #include "src/common/rng.h"
 #include "src/common/timer.h"
 #include "src/cube/score_kernels.h"
+#include "src/cube/support_filter.h"
 #include "src/datagen/liquor_sim.h"
 #include "src/datagen/synthetic.h"
 #include "src/diff/guess_verify.h"
@@ -221,6 +222,31 @@ void BM_ScoreAllBatch(benchmark::State& state) {
                           static_cast<int64_t>(epsilon));
 }
 BENCHMARK(BM_ScoreAllBatch)->Unit(benchmark::kMicrosecond);
+
+// Guess-and-verify (O1) on real Liquor scores: 4 attributes, order 3, the
+// support filter on, m = 3 -- one fast-engine CA call. Cycles over the
+// precomputed gammas of every unit segment.
+void BM_GuessVerifyLiquor(benchmark::State& state) {
+  LiquorCubeFixture fixture;
+  const std::vector<bool> active = ComputeSupportFilter(*fixture.cube);
+  const size_t n = fixture.cube->n();
+  std::vector<std::vector<double>> gammas(
+      n - 1, std::vector<double>(fixture.registry.num_explanations()));
+  for (size_t t = 0; t + 1 < n; ++t) {
+    fixture.cube->ScoreAll(DiffMetricKind::kAbsoluteChange, t, t + 1,
+                           &active, &gammas[t]);
+  }
+  CascadingAnalysts solver(fixture.registry);
+  size_t t = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        GuessVerifyTopM(solver, gammas[t % gammas.size()], 3, &active));
+    ++t;
+  }
+  state.counters["epsilon"] =
+      static_cast<double>(fixture.registry.num_explanations());
+}
+BENCHMARK(BM_GuessVerifyLiquor)->Unit(benchmark::kMicrosecond);
 
 // Raw kernel-level sweep (no cube, no mask): the four SoA candidate
 // streams fed straight into the scoring kernels, the unit the SIMD gate

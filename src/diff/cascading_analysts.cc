@@ -1,6 +1,7 @@
 #include "src/diff/cascading_analysts.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "src/common/check.h"
 
@@ -22,162 +23,17 @@ TopExplanations CascadingAnalysts::TopM(const std::vector<double>& gamma,
   if (selectable != nullptr) {
     TSE_CHECK_EQ(selectable->size(), registry_.num_explanations());
   }
-
-  gamma_ = &gamma;
-  selectable_ = selectable;
-  m_ = m;
-  nodes_visited_ = 0;
-
-  // (Re)size the epoch-stamped memo table.
-  if (m > m_cap_ || memo_.size() <
-                        registry_.num_explanations() *
-                            static_cast<size_t>(m + 1)) {
-    m_cap_ = std::max(m, m_cap_);
-    memo_.assign(registry_.num_explanations() *
-                     static_cast<size_t>(m_cap_ + 1),
-                 0.0);
-    memo_epoch_.assign(memo_.size(), 0);
-    epoch_ = 0;
+  if (full_.group_begin.empty()) {
+    std::vector<ExplId> all(registry_.num_explanations());
+    std::iota(all.begin(), all.end(), 0);
+    BuildLattice(all, &full_);
   }
-  ++epoch_;
-  if (epoch_ == 0) {  // wrapped: stamps are stale, reset
-    std::fill(memo_epoch_.begin(), memo_epoch_.end(), 0u);
-    epoch_ = 1;
+  for (size_t node = 0; node < full_.cells.size(); ++node) {
+    full_.selectable[node] =
+        selectable == nullptr ||
+        (*selectable)[static_cast<size_t>(full_.cells[node])];
   }
-
-  TopExplanations result;
-  result.best.resize(static_cast<size_t>(m) + 1, 0.0);
-  // The root cannot select itself; Best[q] is the optimal drill-down value.
-  // One knapsack pass per child group yields all quota levels at once, so we
-  // simply evaluate per q (m is tiny; clarity over micro-optimization).
-  for (int q = 1; q <= m; ++q) {
-    result.best[static_cast<size_t>(q)] =
-        BestDrillDown(registry_.root_children(), q);
-  }
-
-  ReconstructDrillDown(registry_.root_children(), m, &result.ids);
-  SortByGammaDesc(gamma, &result.ids);
-  result.gammas.reserve(result.ids.size());
-  for (ExplId id : result.ids) {
-    result.gammas.push_back(gamma[static_cast<size_t>(id)]);
-  }
-  return result;
-}
-
-double CascadingAnalysts::Solve(ExplId cell, int q) {
-  if (q == 0) return 0.0;
-  const size_t slot =
-      static_cast<size_t>(cell) * static_cast<size_t>(m_cap_ + 1) +
-      static_cast<size_t>(q);
-  if (memo_epoch_[slot] == epoch_) return memo_[slot];
-  ++nodes_visited_;
-
-  const bool can_select =
-      selectable_ == nullptr || (*selectable_)[static_cast<size_t>(cell)];
-  double best = 0.0;
-  if (can_select) {
-    const double g = (*gamma_)[static_cast<size_t>(cell)];
-    if (g > kScoreEps) best = g;
-  }
-  const std::vector<ChildGroup>& groups = registry_.children(cell);
-  if (!groups.empty()) {
-    best = std::max(best, BestDrillDown(groups, q));
-  }
-
-  memo_epoch_[slot] = epoch_;
-  memo_[slot] = best;
-  return best;
-}
-
-double CascadingAnalysts::BestDrillDown(const std::vector<ChildGroup>& groups,
-                                        int q) {
-  double best = 0.0;
-  std::vector<double> dp(static_cast<size_t>(q) + 1);
-  for (const ChildGroup& group : groups) {
-    // Knapsack over this dimension's children: dp[x] = best total score
-    // spending exactly <= x quota on the children seen so far.
-    std::fill(dp.begin(), dp.end(), 0.0);
-    for (ExplId child : group.children) {
-      // Children are independent subtrees; descending x keeps each child
-      // used at most once (bounded knapsack over quota).
-      for (int x = q; x >= 1; --x) {
-        double best_here = dp[static_cast<size_t>(x)];
-        for (int y = 1; y <= x; ++y) {
-          const double candidate =
-              dp[static_cast<size_t>(x - y)] + Solve(child, y);
-          best_here = std::max(best_here, candidate);
-        }
-        dp[static_cast<size_t>(x)] = best_here;
-      }
-    }
-    best = std::max(best, dp[static_cast<size_t>(q)]);
-  }
-  return best;
-}
-
-void CascadingAnalysts::Reconstruct(ExplId cell, int q,
-                                    std::vector<ExplId>* out) {
-  if (q == 0) return;
-  const double value = Solve(cell, q);
-  if (value <= kScoreEps) return;  // nothing selected in this subtree
-
-  const bool can_select =
-      selectable_ == nullptr || (*selectable_)[static_cast<size_t>(cell)];
-  if (can_select) {
-    const double g = (*gamma_)[static_cast<size_t>(cell)];
-    if (g > kScoreEps && g >= value - kScoreEps) {
-      out->push_back(cell);
-      return;
-    }
-  }
-  ReconstructDrillDown(registry_.children(cell), q, out);
-}
-
-void CascadingAnalysts::ReconstructDrillDown(
-    const std::vector<ChildGroup>& groups, int q, std::vector<ExplId>* out) {
-  if (q == 0 || groups.empty()) return;
-  const double target = BestDrillDown(groups, q);
-  if (target <= kScoreEps) return;
-
-  // Find a group achieving the target, then re-run its knapsack while
-  // recording the quota granted to each child.
-  for (const ChildGroup& group : groups) {
-    const size_t num_children = group.children.size();
-    std::vector<std::vector<double>> dp(
-        num_children + 1, std::vector<double>(static_cast<size_t>(q) + 1));
-    for (size_t i = 0; i < num_children; ++i) {
-      const ExplId child = group.children[i];
-      for (int x = 0; x <= q; ++x) {
-        double best_here = dp[i][static_cast<size_t>(x)];
-        for (int y = 1; y <= x; ++y) {
-          best_here = std::max(
-              best_here, dp[i][static_cast<size_t>(x - y)] + Solve(child, y));
-        }
-        dp[i + 1][static_cast<size_t>(x)] = best_here;
-      }
-    }
-    if (dp[num_children][static_cast<size_t>(q)] < target - kScoreEps) {
-      continue;  // this dimension does not achieve the optimum
-    }
-    // Walk back through the knapsack to recover per-child quotas.
-    int x = q;
-    for (size_t i = num_children; i > 0; --i) {
-      const ExplId child = group.children[i - 1];
-      int chosen_y = 0;
-      for (int y = 0; y <= x; ++y) {
-        const double candidate =
-            dp[i - 1][static_cast<size_t>(x - y)] + Solve(child, y);
-        if (candidate >= dp[i][static_cast<size_t>(x)] - kScoreEps) {
-          chosen_y = y;
-          break;  // smallest quota achieving the value -> fewest selections
-        }
-      }
-      if (chosen_y > 0) Reconstruct(child, chosen_y, out);
-      x -= chosen_y;
-    }
-    return;
-  }
-  TSE_CHECK(false) << "reconstruction failed to match the optimal value";
+  return Solve(full_, gamma, m);
 }
 
 TopExplanations CascadingAnalysts::TopMRestricted(
@@ -185,93 +41,140 @@ TopExplanations CascadingAnalysts::TopMRestricted(
     const std::vector<ExplId>& candidates) {
   TSE_CHECK_GE(m, 1);
   TSE_CHECK_EQ(gamma.size(), registry_.num_explanations());
-  gamma_ = &gamma;
-  m_ = m;
-  nodes_visited_ = 0;
+  BuildLattice(candidates, &sub_);
+  return Solve(sub_, gamma, m);
+}
 
-  // Build the sub-lattice: candidates plus every ancestor cell (all
-  // non-empty sub-conjunctions; at most 2^order - 1 per candidate).
-  LocalLattice lattice;
-  lattice.index.reserve(candidates.size() * 4);
-  auto add_cell = [&lattice](ExplId id, bool is_candidate) -> int {
-    auto [it, inserted] =
-        lattice.index.try_emplace(id, static_cast<int>(lattice.cells.size()));
-    if (inserted) {
-      lattice.cells.push_back(id);
-      lattice.selectable.push_back(is_candidate);
-    } else if (is_candidate) {
-      lattice.selectable[static_cast<size_t>(it->second)] = true;
-    }
-    return it->second;
+void CascadingAnalysts::BuildLattice(const std::vector<ExplId>& cells,
+                                     Lattice* lattice) {
+  if (node_of_.empty()) node_of_.assign(registry_.num_explanations(), -1);
+  lattice->cells.clear();
+  lattice->selectable.clear();
+  auto add = [this, lattice](ExplId id, bool selectable) {
+    int32_t& node = node_of_[static_cast<size_t>(id)];
+    if (node >= 0) return;
+    node = static_cast<int32_t>(lattice->cells.size());
+    lattice->cells.push_back(id);
+    lattice->selectable.push_back(selectable);
   };
-  for (ExplId candidate : candidates) {
-    add_cell(candidate, /*is_candidate=*/true);
-    const Explanation& cell = registry_.explanation(candidate);
-    const auto& preds = cell.predicates();
-    const uint32_t limit = 1u << preds.size();
-    for (uint32_t mask = 1; mask + 1 < limit; ++mask) {  // proper subsets
-      std::vector<Predicate> subset;
-      for (size_t i = 0; i < preds.size(); ++i) {
-        if (mask & (1u << i)) subset.push_back(preds[i]);
-      }
-      const ExplId ancestor =
-          registry_.Lookup(Explanation::FromPredicates(std::move(subset)));
-      TSE_CHECK_NE(ancestor, kInvalidExplId);
-      add_cell(ancestor, /*is_candidate=*/false);
+  for (ExplId id : cells) {
+    TSE_CHECK_GE(id, 0);
+    TSE_CHECK_LT(static_cast<size_t>(id), node_of_.size());
+    add(id, /*selectable=*/true);
+  }
+  // Breadth-first over parents: every ancestor is added exactly once.
+  for (size_t i = 0; i < lattice->cells.size(); ++i) {
+    for (ExplId parent : registry_.parents(lattice->cells[i])) {
+      add(parent, /*selectable=*/false);
     }
   }
 
-  // Rebuild drill-down links within the sub-lattice (same construction as
-  // the registry, restricted to relevant cells).
-  lattice.children.resize(lattice.cells.size());
-  std::vector<std::unordered_map<AttrId, std::vector<ExplId>>> tmp(
-      lattice.cells.size());
-  std::unordered_map<AttrId, std::vector<ExplId>> root_tmp;
-  for (size_t local = 0; local < lattice.cells.size(); ++local) {
-    const ExplId id = lattice.cells[local];
-    const Explanation& cell = registry_.explanation(id);
-    for (const Predicate& p : cell.predicates()) {
-      if (cell.order() == 1) {
-        root_tmp[p.attr].push_back(id);
-      } else {
-        const ExplId parent_id =
-            registry_.Lookup(cell.WithoutAttr(p.attr));
-        auto it = lattice.index.find(parent_id);
-        TSE_CHECK(it != lattice.index.end());
-        tmp[static_cast<size_t>(it->second)][p.attr].push_back(id);
+  // Drill-down edges: a cell is the child of each of its parents along the
+  // dropped attribute, and an order-1 cell is the root's child.
+  const int32_t root = static_cast<int32_t>(lattice->cells.size());
+  edges_.clear();
+  for (int32_t node = 0; node < root; ++node) {
+    const ExplId id = lattice->cells[static_cast<size_t>(node)];
+    const auto& preds = registry_.explanation(id).predicates();
+    const auto parents = registry_.parents(id);
+    if (parents.size() == 0) edges_.push_back(Edge{root, preds[0].attr, id});
+    for (size_t i = 0; i < parents.size(); ++i) {
+      edges_.push_back(Edge{node_of_[static_cast<size_t>(parents[i])],
+                            preds[i].attr, id});
+    }
+  }
+  std::sort(edges_.begin(), edges_.end(), [](const Edge& a, const Edge& b) {
+    if (a.parent != b.parent) return a.parent < b.parent;
+    if (a.attr != b.attr) return a.attr < b.attr;
+    return a.child < b.child;
+  });
+  lattice->group_begin.assign(static_cast<size_t>(root) + 2, 0);
+  lattice->child_begin.clear();
+  lattice->children.clear();
+  size_t e = 0;
+  for (int32_t node = 0; node <= root; ++node) {
+    lattice->group_begin[static_cast<size_t>(node)] =
+        static_cast<uint32_t>(lattice->child_begin.size());
+    for (; e < edges_.size() && edges_[e].parent == node; ++e) {
+      if (e == 0 || edges_[e - 1].parent != node ||
+          edges_[e - 1].attr != edges_[e].attr) {
+        lattice->child_begin.push_back(
+            static_cast<uint32_t>(lattice->children.size()));
+      }
+      lattice->children.push_back(
+          node_of_[static_cast<size_t>(edges_[e].child)]);
+    }
+  }
+  lattice->group_begin[static_cast<size_t>(root) + 1] =
+      static_cast<uint32_t>(lattice->child_begin.size());
+  lattice->child_begin.push_back(
+      static_cast<uint32_t>(lattice->children.size()));
+
+  // Children have one more predicate than their parents, so visiting
+  // nodes by descending order solves every child first.
+  lattice->bottom_up.clear();
+  for (int order = registry_.max_order(); order >= 1; --order) {
+    for (int32_t node = 0; node < root; ++node) {
+      const size_t num_parents =
+          registry_.parents(lattice->cells[static_cast<size_t>(node)]).size();
+      if (std::max<int>(1, static_cast<int>(num_parents)) == order) {
+        lattice->bottom_up.push_back(node);
       }
     }
   }
-  auto materialize =
-      [](std::unordered_map<AttrId, std::vector<ExplId>>& groups) {
-        std::vector<ChildGroup> out;
-        out.reserve(groups.size());
-        for (auto& [attr, children] : groups) {
-          std::sort(children.begin(), children.end());
-          out.push_back(ChildGroup{attr, std::move(children)});
+  for (ExplId id : lattice->cells) node_of_[static_cast<size_t>(id)] = -1;
+}
+
+TopExplanations CascadingAnalysts::Solve(const Lattice& lattice,
+                                         const std::vector<double>& gamma,
+                                         int m) {
+  m_ = m;
+  const size_t stride = static_cast<size_t>(m) + 1;
+  const size_t root = lattice.cells.size();
+  f_.assign((root + 1) * stride, 0.0);
+  dp_.resize(stride);
+  // f(node, x) for x = 1..m starts as the best drill-down: per attribute,
+  // a knapsack over the children where dp[x] = best total score spending
+  // at most x quota on the children seen so far. Descending x keeps each
+  // child used at most once (bounded knapsack over quota).
+  auto drill_down = [&](size_t node) {
+    double* f = &f_[node * stride];
+    for (uint32_t g = lattice.group_begin[node];
+         g < lattice.group_begin[node + 1]; ++g) {
+      std::fill(dp_.begin(), dp_.end(), 0.0);
+      for (uint32_t c = lattice.child_begin[g];
+           c < lattice.child_begin[g + 1]; ++c) {
+        const double* child =
+            &f_[static_cast<size_t>(lattice.children[c]) * stride];
+        for (int x = m; x >= 1; --x) {
+          double best_here = dp_[static_cast<size_t>(x)];
+          for (int y = 1; y <= x; ++y) {
+            best_here = std::max(best_here, dp_[static_cast<size_t>(x - y)] +
+                                                child[y]);
+          }
+          dp_[static_cast<size_t>(x)] = best_here;
         }
-        std::sort(out.begin(), out.end(),
-                  [](const ChildGroup& a, const ChildGroup& b) {
-                    return a.attr < b.attr;
-                  });
-        return out;
-      };
-  lattice.root_children = materialize(root_tmp);
-  for (size_t local = 0; local < lattice.cells.size(); ++local) {
-    lattice.children[local] = materialize(tmp[local]);
+      }
+      for (size_t x = 1; x < stride; ++x) f[x] = std::max(f[x], dp_[x]);
+    }
+  };
+  for (int32_t node : lattice.bottom_up) {
+    drill_down(static_cast<size_t>(node));
+    const double g =
+        gamma[static_cast<size_t>(lattice.cells[static_cast<size_t>(node)])];
+    if (lattice.selectable[static_cast<size_t>(node)] && g > kScoreEps) {
+      double* f = &f_[static_cast<size_t>(node) * stride];
+      for (size_t x = 1; x < stride; ++x) f[x] = std::max(g, f[x]);
+    }
   }
+  nodes_visited_ = root * static_cast<size_t>(m);
+  // The root cannot select itself; Best[q] is its drill-down value.
+  drill_down(root);
 
-  // DP over the sub-lattice. memo[local * (m+1) + q]; -1 = unset.
-  std::vector<double> memo(
-      lattice.cells.size() * static_cast<size_t>(m + 1), -1.0);
   TopExplanations result;
-  result.best.resize(static_cast<size_t>(m) + 1, 0.0);
-  for (int q = 1; q <= m; ++q) {
-    result.best[static_cast<size_t>(q)] =
-        BestDrillDownLocal(lattice, lattice.root_children, q, &memo);
-  }
-  ReconstructDrillDownLocal(lattice, lattice.root_children, m, &memo,
-                            &result.ids);
+  result.best.assign(f_.begin() + static_cast<std::ptrdiff_t>(root * stride),
+                     f_.end());
+  Reconstruct(lattice, gamma, static_cast<int32_t>(root), m, &result.ids);
   SortByGammaDesc(gamma, &result.ids);
   result.gammas.reserve(result.ids.size());
   for (ExplId id : result.ids) {
@@ -280,123 +183,76 @@ TopExplanations CascadingAnalysts::TopMRestricted(
   return result;
 }
 
-double CascadingAnalysts::SolveLocal(const LocalLattice& lattice, int local,
-                                     int q, std::vector<double>* memo) {
-  if (q == 0) return 0.0;
-  const size_t slot = static_cast<size_t>(local) *
-                          static_cast<size_t>(m_ + 1) +
-                      static_cast<size_t>(q);
-  if ((*memo)[slot] >= 0.0) return (*memo)[slot];
-  ++nodes_visited_;
+void CascadingAnalysts::Reconstruct(const Lattice& lattice,
+                                    const std::vector<double>& gamma,
+                                    int32_t node, int q,
+                                    std::vector<ExplId>* out) {
+  const size_t stride = static_cast<size_t>(m_) + 1;
+  const size_t at = static_cast<size_t>(node);
+  const double value = f_[at * stride + static_cast<size_t>(q)];
+  if (q == 0 || value <= kScoreEps) return;  // nothing selected here
 
-  double best = 0.0;
-  if (lattice.selectable[static_cast<size_t>(local)]) {
-    const double g =
-        (*gamma_)[static_cast<size_t>(lattice.cells[static_cast<size_t>(
-            local)])];
-    if (g > kScoreEps) best = g;
-  }
-  const std::vector<ChildGroup>& groups =
-      lattice.children[static_cast<size_t>(local)];
-  if (!groups.empty()) {
-    best = std::max(best, BestDrillDownLocal(lattice, groups, q, memo));
-  }
-  (*memo)[slot] = best;
-  return best;
-}
-
-double CascadingAnalysts::BestDrillDownLocal(
-    const LocalLattice& lattice, const std::vector<ChildGroup>& groups,
-    int q, std::vector<double>* memo) {
-  double best = 0.0;
-  std::vector<double> dp(static_cast<size_t>(q) + 1);
-  for (const ChildGroup& group : groups) {
-    std::fill(dp.begin(), dp.end(), 0.0);
-    for (ExplId child : group.children) {
-      const int child_local = lattice.index.at(child);
-      for (int x = q; x >= 1; --x) {
-        double best_here = dp[static_cast<size_t>(x)];
-        for (int y = 1; y <= x; ++y) {
-          best_here = std::max(best_here,
-                               dp[static_cast<size_t>(x - y)] +
-                                   SolveLocal(lattice, child_local, y, memo));
-        }
-        dp[static_cast<size_t>(x)] = best_here;
-      }
-    }
-    best = std::max(best, dp[static_cast<size_t>(q)]);
-  }
-  return best;
-}
-
-void CascadingAnalysts::ReconstructLocal(const LocalLattice& lattice,
-                                         int local, int q,
-                                         std::vector<double>* memo,
-                                         std::vector<ExplId>* out) {
-  if (q == 0) return;
-  const double value = SolveLocal(lattice, local, q, memo);
-  if (value <= kScoreEps) return;
-  if (lattice.selectable[static_cast<size_t>(local)]) {
-    const double g =
-        (*gamma_)[static_cast<size_t>(lattice.cells[static_cast<size_t>(
-            local)])];
+  if (at < lattice.cells.size() && lattice.selectable[at]) {
+    const double g = gamma[static_cast<size_t>(lattice.cells[at])];
     if (g > kScoreEps && g >= value - kScoreEps) {
-      out->push_back(lattice.cells[static_cast<size_t>(local)]);
+      out->push_back(lattice.cells[at]);
       return;
     }
   }
-  ReconstructDrillDownLocal(lattice,
-                            lattice.children[static_cast<size_t>(local)], q,
-                            memo, out);
-}
-
-void CascadingAnalysts::ReconstructDrillDownLocal(
-    const LocalLattice& lattice, const std::vector<ChildGroup>& groups,
-    int q, std::vector<double>* memo, std::vector<ExplId>* out) {
-  if (q == 0 || groups.empty()) return;
-  const double target = BestDrillDownLocal(lattice, groups, q, memo);
-  if (target <= kScoreEps) return;
-
-  for (const ChildGroup& group : groups) {
-    const size_t num_children = group.children.size();
-    std::vector<std::vector<double>> dp(
-        num_children + 1, std::vector<double>(static_cast<size_t>(q) + 1));
+  // Not selected, so `value` is the drill-down optimum. Find a group
+  // achieving it, re-run its knapsack keeping every row, and walk back to
+  // recover the quota granted to each child.
+  const size_t width = static_cast<size_t>(q) + 1;
+  for (uint32_t g = lattice.group_begin[at]; g < lattice.group_begin[at + 1];
+       ++g) {
+    const uint32_t first = lattice.child_begin[g];
+    const size_t num_children = lattice.child_begin[g + 1] - first;
+    dp_.assign((num_children + 1) * width, 0.0);
+    auto child_f = [&](size_t i) {
+      return &f_[static_cast<size_t>(lattice.children[first + i]) * stride];
+    };
     for (size_t i = 0; i < num_children; ++i) {
-      const int child_local = lattice.index.at(group.children[i]);
-      for (int x = 0; x <= q; ++x) {
-        double best_here = dp[i][static_cast<size_t>(x)];
-        for (int y = 1; y <= x; ++y) {
-          best_here = std::max(best_here,
-                               dp[i][static_cast<size_t>(x - y)] +
-                                   SolveLocal(lattice, child_local, y, memo));
+      const double* child = child_f(i);
+      const double* prev = &dp_[i * width];
+      for (size_t x = 0; x < width; ++x) {
+        double best_here = prev[x];
+        for (size_t y = 1; y <= x; ++y) {
+          best_here = std::max(best_here, prev[x - y] + child[y]);
         }
-        dp[i + 1][static_cast<size_t>(x)] = best_here;
+        dp_[(i + 1) * width + x] = best_here;
       }
     }
-    if (dp[num_children][static_cast<size_t>(q)] < target - kScoreEps) {
-      continue;
+    if (dp_[num_children * width + static_cast<size_t>(q)] <
+        value - kScoreEps) {
+      continue;  // this dimension does not achieve the optimum
     }
-    int x = q;
+    const size_t mark = picks_.size();
+    size_t x = static_cast<size_t>(q);
     for (size_t i = num_children; i > 0; --i) {
-      const int child_local = lattice.index.at(group.children[i - 1]);
-      int chosen_y = 0;
-      for (int y = 0; y <= x; ++y) {
-        const double candidate =
-            dp[i - 1][static_cast<size_t>(x - y)] +
-            SolveLocal(lattice, child_local, y, memo);
-        if (candidate >= dp[i][static_cast<size_t>(x)] - kScoreEps) {
-          chosen_y = y;
-          break;
+      const double* child = child_f(i - 1);
+      const double target = dp_[i * width + x] - kScoreEps;
+      size_t chosen = 0;
+      for (size_t y = 0; y <= x; ++y) {
+        if (dp_[(i - 1) * width + x - y] + child[y] >= target) {
+          chosen = y;
+          break;  // smallest quota achieving the value -> fewest selections
         }
       }
-      if (chosen_y > 0) {
-        ReconstructLocal(lattice, child_local, chosen_y, memo, out);
+      if (chosen > 0) {
+        picks_.emplace_back(lattice.children[first + i - 1],
+                            static_cast<int>(chosen));
       }
-      x -= chosen_y;
+      x -= chosen;
     }
+    const size_t end = picks_.size();
+    for (size_t k = mark; k < end; ++k) {
+      const std::pair<int32_t, int> pick = picks_[k];
+      Reconstruct(lattice, gamma, pick.first, pick.second, out);
+    }
+    picks_.resize(mark);
     return;
   }
-  TSE_CHECK(false) << "local reconstruction failed to match the optimum";
+  TSE_CHECK(false) << "reconstruction failed to match the optimal value";
 }
 
 void SortByGammaDesc(const std::vector<double>& gamma,

@@ -12,8 +12,10 @@
 // Both choices are optimized exactly:
 //   f(cell, q) = max( gamma(cell) [if q >= 1, cell != root],
 //                     max_d distribute(children(cell, d), q) )
-// where distribute is a small knapsack over children. Cells are memoized,
-// so the cost is O(epsilon * |A| * m^2) per segment, matching the paper.
+// where distribute is a small knapsack over children. One bottom-up pass
+// (highest order first) fills f(cell, 1..m) for every cell with one
+// knapsack pass per child edge; a cell of order k has k parents, so a call
+// costs O(epsilon * beta-bar * m^2) per segment, matching the paper.
 //
 // The solver also exposes Best[q] = f(root, q) for every q <= m, which the
 // guess-and-verify optimization needs for its termination test (Eq. 12).
@@ -21,7 +23,8 @@
 #ifndef TSEXPLAIN_DIFF_CASCADING_ANALYSTS_H_
 #define TSEXPLAIN_DIFF_CASCADING_ANALYSTS_H_
 
-#include <unordered_map>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/diff/explanation_registry.h"
@@ -63,60 +66,58 @@ class CascadingAnalysts {
 
   /// Same optimization restricted to a small candidate set: only
   /// `candidates` are selectable and the drill-down forest is rebuilt from
-  /// the candidates plus their ancestor cells, so the cost is
-  /// O(|candidates| * 2^beta-bar * m^2) independent of epsilon. This is
-  /// what makes guess-and-verify (O1) pay off (section 5.3.1).
+  /// the candidates plus their ancestor cells (the registry's parent
+  /// table), so the cost is O(|candidates| * 2^beta-bar * m^2) independent
+  /// of epsilon. This is what makes guess-and-verify (O1) pay off
+  /// (section 5.3.1).
   TopExplanations TopMRestricted(const std::vector<double>& gamma, int m,
                                  const std::vector<ExplId>& candidates);
 
-  /// Number of f(cell, q) evaluations performed by the last TopM call
-  /// (complexity instrumentation for the benches).
+  /// Number of f(cell, q) values filled by the last call: every cell of
+  /// its lattice times m (complexity instrumentation for the benches).
   size_t last_nodes_visited() const { return nodes_visited_; }
 
  private:
-  // Sub-lattice for TopMRestricted: candidate cells + ancestors with
-  // locally rebuilt drill-down links (global cell ids inside).
-  struct LocalLattice {
+  // Drill-down forest over some registry cells, in CSR form. Node i stands
+  // for cells[i]; the root is node cells.size(). Node i's groups are
+  // [group_begin[i], group_begin[i + 1]), by attribute ascending; group
+  // g's children are children[child_begin[g] .. child_begin[g + 1]), by
+  // cell id ascending. That is the registry's order, which fixes the
+  // knapsack's summation order and so the exact bits of every score.
+  struct Lattice {
     std::vector<ExplId> cells;
-    std::vector<std::vector<ChildGroup>> children;  // by local index
-    std::vector<ChildGroup> root_children;
-    std::vector<bool> selectable;                   // by local index
-    std::unordered_map<ExplId, int> index;
+    std::vector<bool> selectable;       // by node
+    std::vector<uint32_t> group_begin;  // nodes + 2 entries
+    std::vector<uint32_t> child_begin;  // groups + 1 entries
+    std::vector<int32_t> children;
+    std::vector<int32_t> bottom_up;     // every node, highest order first
+  };
+  struct Edge {
+    int32_t parent;  // node
+    AttrId attr;
+    ExplId child;
   };
 
-  // Memoized f(cell, q) for the current epoch; root is cell id = -1 and is
-  // handled separately.
-  double Solve(ExplId cell, int q);
-  // Optimal distribution of quota q among `groups` children of `cell`.
-  double BestDrillDown(const std::vector<ChildGroup>& groups, int q);
-  // Walks the optimal solution, appending selected cells to out.
-  void Reconstruct(ExplId cell, int q, std::vector<ExplId>* out);
-  void ReconstructDrillDown(const std::vector<ChildGroup>& groups, int q,
-                            std::vector<ExplId>* out);
-
-  // Local-lattice counterparts used by TopMRestricted.
-  double SolveLocal(const LocalLattice& lattice, int local, int q,
-                    std::vector<double>* memo);
-  double BestDrillDownLocal(const LocalLattice& lattice,
-                            const std::vector<ChildGroup>& groups, int q,
-                            std::vector<double>* memo);
-  void ReconstructLocal(const LocalLattice& lattice, int local, int q,
-                        std::vector<double>* memo, std::vector<ExplId>* out);
-  void ReconstructDrillDownLocal(const LocalLattice& lattice,
-                                 const std::vector<ChildGroup>& groups,
-                                 int q, std::vector<double>* memo,
-                                 std::vector<ExplId>* out);
+  // Rebuilds `lattice` over `cells` (all selectable, the first nodes in
+  // order) plus every ancestor of them.
+  void BuildLattice(const std::vector<ExplId>& cells, Lattice* lattice);
+  // Fills f(node, 0..m) for every node bottom-up and reconstructs the
+  // optimal selection at the root.
+  TopExplanations Solve(const Lattice& lattice,
+                        const std::vector<double>& gamma, int m);
+  // Appends the cells the optimum f(node, q) selects to `out`.
+  void Reconstruct(const Lattice& lattice, const std::vector<double>& gamma,
+                   int32_t node, int q, std::vector<ExplId>* out);
 
   const ExplanationRegistry& registry_;
-  const std::vector<double>* gamma_ = nullptr;
-  const std::vector<bool>* selectable_ = nullptr;
+  Lattice full_;  // every registry cell; built by the first TopM call
+  Lattice sub_;   // TopMRestricted's sub-lattice, rebuilt per call
+  std::vector<int32_t> node_of_;  // cell -> node while building, else -1
+  std::vector<Edge> edges_;
   int m_ = 0;
-
-  // Epoch-stamped memo table: memo_[cell * (m_cap_+1) + q].
-  std::vector<double> memo_;
-  std::vector<uint32_t> memo_epoch_;
-  uint32_t epoch_ = 0;
-  int m_cap_ = 0;
+  std::vector<double> f_;   // f(node, q) at f_[node * (m_ + 1) + q]
+  std::vector<double> dp_;  // knapsack rows
+  std::vector<std::pair<int32_t, int>> picks_;  // (child node, quota)
   size_t nodes_visited_ = 0;
 };
 

@@ -158,45 +158,42 @@ ExplanationRegistry ExplanationRegistry::Build(
                     return it->second;
                   });
 
-  // Pass 2: build drill-down links. Every cell of order k >= 1 is a child
-  // of each cell obtained by dropping one of its predicates.
-  reg.children_.resize(reg.cells_.size());
-  std::vector<std::unordered_map<AttrId, std::vector<ExplId>>> tmp(
-      reg.cells_.size());
-  std::unordered_map<AttrId, std::vector<ExplId>> root_tmp;
-  for (ExplId id = 0; id < static_cast<ExplId>(reg.cells_.size()); ++id) {
+  // Pass 2: every cell of order k >= 2 has k parents, one per dropped
+  // predicate, and is their child along the dropped attribute. Ids are
+  // visited in ascending order, so every child list comes out sorted.
+  const size_t num_cells = reg.cells_.size();
+  reg.children_.resize(num_cells);
+  reg.parent_begin_.reserve(num_cells + 1);
+  reg.parent_begin_.push_back(0);
+  auto add_child = [](std::vector<ChildGroup>* groups, AttrId attr,
+                      ExplId child) {
+    auto it = std::find_if(
+        groups->begin(), groups->end(),
+        [attr](const ChildGroup& group) { return group.attr == attr; });
+    if (it == groups->end()) it = groups->insert(it, ChildGroup{attr, {}});
+    it->children.push_back(child);
+  };
+  for (ExplId id = 0; id < static_cast<ExplId>(num_cells); ++id) {
     const Explanation& cell = reg.cells_[static_cast<size_t>(id)];
     for (const Predicate& p : cell.predicates()) {
       if (cell.order() == 1) {
-        root_tmp[p.attr].push_back(id);
-      } else {
-        const Explanation parent = cell.WithoutAttr(p.attr);
-        const ExplId parent_id = reg.Lookup(parent);
-        TSE_CHECK_NE(parent_id, kInvalidExplId)
-            << "parent cell missing; enumeration must be downward closed";
-        tmp[static_cast<size_t>(parent_id)][p.attr].push_back(id);
+        add_child(&reg.root_children_, p.attr, id);
+        continue;
       }
+      const ExplId parent_id = reg.Lookup(cell.WithoutAttr(p.attr));
+      TSE_CHECK_NE(parent_id, kInvalidExplId)
+          << "parent cell missing; enumeration must be downward closed";
+      reg.parents_.push_back(parent_id);
+      add_child(&reg.children_[static_cast<size_t>(parent_id)], p.attr, id);
     }
+    reg.parent_begin_.push_back(static_cast<uint32_t>(reg.parents_.size()));
   }
-
-  auto materialize =
-      [](std::unordered_map<AttrId, std::vector<ExplId>>& groups) {
-        std::vector<ChildGroup> out;
-        out.reserve(groups.size());
-        for (auto& [attr, children] : groups) {
-          std::sort(children.begin(), children.end());
-          out.push_back(ChildGroup{attr, std::move(children)});
-        }
-        std::sort(out.begin(), out.end(),
-                  [](const ChildGroup& a, const ChildGroup& b) {
-                    return a.attr < b.attr;
-                  });
-        return out;
-      };
-
-  reg.root_children_ = materialize(root_tmp);
-  for (size_t i = 0; i < reg.cells_.size(); ++i) {
-    reg.children_[i] = materialize(tmp[i]);
+  auto by_attr = [](const ChildGroup& a, const ChildGroup& b) {
+    return a.attr < b.attr;
+  };
+  std::sort(reg.root_children_.begin(), reg.root_children_.end(), by_attr);
+  for (std::vector<ChildGroup>& groups : reg.children_) {
+    std::sort(groups.begin(), groups.end(), by_attr);
   }
   return reg;
 }

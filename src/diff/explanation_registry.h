@@ -87,6 +87,23 @@ class ExplanationRegistry {
   /// constrained by the cell. Cells at max_order have no children.
   const std::vector<ChildGroup>& children(ExplId id) const;
 
+  /// Parents of a cell in predicate order: parents(id)[i] is the cell
+  /// without predicates()[i]. Empty for order-1 cells (their parent is the
+  /// root). A [begin, end) range into one flat table.
+  struct ParentRange {
+    const ExplId* first;
+    const ExplId* last;
+    const ExplId* begin() const { return first; }
+    const ExplId* end() const { return last; }
+    size_t size() const { return static_cast<size_t>(last - first); }
+    ExplId operator[](size_t i) const { return first[i]; }
+  };
+  ParentRange parents(ExplId id) const {
+    const size_t i = static_cast<size_t>(id);
+    return ParentRange{parents_.data() + parent_begin_[i],
+                       parents_.data() + parent_begin_[i + 1]};
+  }
+
   const std::vector<AttrId>& explain_by() const { return explain_by_; }
   int max_order() const { return max_order_; }
 
@@ -97,6 +114,8 @@ class ExplanationRegistry {
   std::unordered_map<Explanation, ExplId, ExplanationHasher> index_;
   std::vector<ChildGroup> root_children_;
   std::vector<std::vector<ChildGroup>> children_;  // aligned with cells_
+  std::vector<uint32_t> parent_begin_;  // [id] -> offset into parents_
+  std::vector<ExplId> parents_;
 };
 
 }  // namespace tsexplain

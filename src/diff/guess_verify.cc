@@ -1,7 +1,7 @@
 #include "src/diff/guess_verify.h"
 
 #include <algorithm>
-#include <numeric>
+#include <cstdint>
 
 #include "src/common/check.h"
 
@@ -19,58 +19,67 @@ TopExplanations GuessVerifyTopM(CascadingAnalysts& solver,
   TSE_CHECK_GE(m, 1);
   TSE_CHECK_GE(initial_guess, 1);
   const size_t epsilon = gamma.size();
-
-  // chi: candidate ids the caller allows with positive score. Kept
-  // UNSORTED; each guess round only needs the top (guess + m) elements, so
-  // nth_element + a prefix sort beats a full epsilon*log(epsilon) sort.
-  std::vector<ExplId> chi;
-  chi.reserve(epsilon);
-  for (size_t e = 0; e < epsilon; ++e) {
-    if (selectable != nullptr && !(*selectable)[e]) continue;
-    if (gamma[e] > 0.0) chi.push_back(static_cast<ExplId>(e));
-  }
-
-  GuessVerifyStats local_stats;
-  int guess = std::min<int>(initial_guess, static_cast<int>(chi.size()));
-  if (guess == 0) {
-    // No scoring candidates at all: empty result with zero Best.
-    if (stats != nullptr) {
-      stats->iterations = 1;
-      stats->final_guess_size = 0;
-      stats->exact_fallback = true;
-    }
-    TopExplanations empty;
-    empty.best.assign(static_cast<size_t>(m) + 1, 0.0);
-    return empty;
-  }
-
   auto by_gamma_desc = [&gamma](ExplId a, ExplId b) {
     const double ga = gamma[static_cast<size_t>(a)];
     const double gb = gamma[static_cast<size_t>(b)];
     if (ga != gb) return ga > gb;
     return a < b;
   };
-  int sorted_prefix = 0;
+
+  // chi: the selectable cells with positive score. A round needs only its
+  // top (guess + m) by by_gamma_desc; |chi| is known once a round's
+  // selection does not fill up. The cap keeps guess + m in range: the
+  // initial guess comes from requests and may be INT_MAX.
+  size_t guess = std::min(static_cast<size_t>(initial_guess), epsilon);
+  size_t chi_size = SIZE_MAX;  // unknown
+  GuessVerifyStats local_stats;
+  std::vector<ExplId> top;
   std::vector<ExplId> candidates;
   for (;;) {
     ++local_stats.iterations;
-    // Ensure the first (guess + m) entries of chi are the largest, sorted.
-    const int need =
-        std::min<int>(guess + m, static_cast<int>(chi.size()));
-    if (need > sorted_prefix) {
-      std::nth_element(chi.begin(), chi.begin() + need - 1, chi.end(),
-                       by_gamma_desc);
-      std::sort(chi.begin(), chi.begin() + need, by_gamma_desc);
-      sorted_prefix = need;
+    // One ascending scan. Ids above `floor` (the need-th best gamma kept so
+    // far; 0 stands for the gamma > 0 test) are buffered; a full buffer of
+    // 2 * need is cut back to its best need. A later id is larger, so it
+    // loses every gamma tie and must beat `floor` strictly.
+    const size_t need = guess + static_cast<size_t>(m);
+    auto keep_best = [&] {
+      std::nth_element(top.begin(),
+                       top.begin() + static_cast<std::ptrdiff_t>(need) - 1,
+                       top.end(), by_gamma_desc);
+      top.resize(need);
+      return gamma[static_cast<size_t>(top.back())];
+    };
+    top.clear();
+    double floor = 0.0;
+    for (size_t e = 0; e < epsilon; ++e) {
+      if (!(gamma[e] > floor)) continue;
+      if (selectable != nullptr && !(*selectable)[e]) continue;
+      top.push_back(static_cast<ExplId>(e));
+      if (top.size() == 2 * need) floor = keep_best();
+    }
+    if (top.size() > need) keep_best();
+    std::sort(top.begin(), top.end(), by_gamma_desc);
+    if (top.size() < need) {
+      chi_size = top.size();
+      guess = std::min(guess, chi_size);
+    }
+    if (guess == 0) {
+      // No scoring candidates at all: empty result with zero Best.
+      if (stats != nullptr) {
+        stats->iterations = 1;
+        stats->final_guess_size = 0;
+        stats->exact_fallback = true;
+      }
+      TopExplanations empty;
+      empty.best.assign(static_cast<size_t>(m) + 1, 0.0);
+      return empty;
     }
 
-    candidates.assign(chi.begin(), chi.begin() + std::min<int>(
-                                                     guess,
-                                                     static_cast<int>(
-                                                         chi.size())));
+    candidates.assign(top.begin(),
+                      top.begin() + static_cast<std::ptrdiff_t>(guess));
     TopExplanations result = solver.TopMRestricted(gamma, m, candidates);
 
-    const bool covered_all = guess >= static_cast<int>(chi.size());
+    const bool covered_all = guess >= chi_size;
     bool verified = true;
     if (!covered_all) {
       // Eq. 12: for every split m' in-prefix / (m - m') out-of-prefix, the
@@ -78,9 +87,9 @@ TopExplanations GuessVerifyTopM(CascadingAnalysts& solver,
       for (int m_prime = 0; m_prime < m && verified; ++m_prime) {
         double upper = result.best[static_cast<size_t>(m_prime)];
         for (int j = 1; j <= m - m_prime; ++j) {
-          const size_t idx = static_cast<size_t>(guess + j - 1);
-          if (idx < chi.size()) {
-            upper += gamma[static_cast<size_t>(chi[idx])];
+          const size_t idx = guess + static_cast<size_t>(j) - 1;
+          if (idx < top.size()) {
+            upper += gamma[static_cast<size_t>(top[idx])];
           }
         }
         if (result.best[static_cast<size_t>(m)] < upper - kScoreEps) {
@@ -90,12 +99,13 @@ TopExplanations GuessVerifyTopM(CascadingAnalysts& solver,
     }
 
     if (verified || covered_all) {
-      local_stats.final_guess_size = guess;
+      local_stats.final_guess_size = static_cast<int>(guess);
       local_stats.exact_fallback = covered_all;
       if (stats != nullptr) *stats = local_stats;
       return result;
     }
-    guess = std::min<int>(guess * 2, static_cast<int>(chi.size()));
+    // The next round clamps the doubled guess to |chi| once it is known.
+    guess = std::min(guess * 2, epsilon);
   }
 }
 

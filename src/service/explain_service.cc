@@ -81,6 +81,10 @@ bool ValidateAndNormalize(const Table& table, TSExplainConfig* config,
       return false;
     }
   }
+  if (config->m > kMaxTopM) {
+    *error = StrFormat("m must be <= %d, got %d", kMaxTopM, config->m);
+    return false;
+  }
   if (config->use_filter &&
       (config->filter_ratio <= 0.0 || config->filter_ratio > 1.0)) {
     *error = "filter_ratio must be in (0, 1]";
@@ -411,9 +415,9 @@ ExplainService::RecommendResponse ExplainService::Recommend(
     response.error = "unknown measure: " + measure;
     return response;
   }
-  if (m < 1) {
+  if (m < 1 || m > kMaxTopM) {
     response.error_code = error_code::kInvalidQuery;
-    response.error = StrFormat("m must be >= 1, got %d", m);
+    response.error = StrFormat("m must be in [1, %d], got %d", kMaxTopM, m);
     return response;
   }
   response.ok = true;

@@ -62,6 +62,13 @@ inline constexpr char kOverloaded[] = "overloaded";
 inline constexpr char kQuotaExceeded[] = "quota_exceeded";
 }  // namespace error_code
 
+/// Largest top-m (`m`) a protocol request may ask for; larger values are
+/// rejected with invalid_query (docs/SERVICE.md). Cascading Analysts costs
+/// O(m^2) per lattice edge and keeps m + 1 scores per cell, so an
+/// unbounded m lets one request pin a worker and its memory. Library
+/// callers are not bounded.
+inline constexpr int kMaxTopM = 20;
+
 struct ServiceOptions {
   size_t cache_capacity_bytes = 64ull << 20;  // 64 MiB
   int cache_shards = 8;

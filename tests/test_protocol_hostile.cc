@@ -155,6 +155,30 @@ TEST_F(HostileProtocolTest, OversizedFieldsGetStructuredErrors) {
   ExpectStillServing();
 }
 
+TEST_F(HostileProtocolTest, TopMAboveTheBoundIsRejected) {
+  // Cascading Analysts costs O(m^2) per lattice edge, so an unbounded "m"
+  // would let one request pin a worker: explain, open_session and
+  // recommend reject m > kMaxTopM up front, before any engine work.
+  for (const std::string op : {"explain", "open_session", "recommend"}) {
+    for (const int m : {kMaxTopM + 1, 1000000000}) {
+      const std::string response = Roundtrip(
+          R"({"op":")" + op + R"(","id":1,"dataset":"ds","measure":"value",)"
+          R"("explain_by":["region"],"m":)" + std::to_string(m) + "}");
+      EXPECT_NE(response.find("\"ok\":false"), std::string::npos)
+          << op << " " << response;
+      EXPECT_NE(response.find("\"code\":\"invalid_query\""),
+                std::string::npos)
+          << op << " " << response;
+    }
+  }
+  // The bound itself is served.
+  const std::string at_bound = Roundtrip(
+      R"({"op":"explain","id":2,"dataset":"ds","measure":"value",)"
+      R"("explain_by":["region"],"m":)" + std::to_string(kMaxTopM) + "}");
+  EXPECT_NE(at_bound.find("\"ok\":true"), std::string::npos) << at_bound;
+  ExpectStillServing();
+}
+
 TEST_F(HostileProtocolTest, DuplicateKeysAreDeterministicNotCrashy) {
   // Duplicate "op" and duplicate "dataset": RFC 8259 leaves the behavior
   // open; the handler must pick one deterministically and answer once.

@@ -400,6 +400,43 @@ TEST(RegistryTupleCells, ResolveRowsRejectsUnregisteredCells) {
   EXPECT_FALSE(reg.ResolveRows(table, 2, &unknown));
 }
 
+// parents(id)[i] is the cell without predicates()[i]; order-1 cells have
+// none.
+void ExpectParentTable(const ExplanationRegistry& reg,
+                       const std::string& label) {
+  for (ExplId id = 0; id < static_cast<ExplId>(reg.num_explanations());
+       ++id) {
+    const Explanation& cell = reg.explanation(id);
+    const auto parents = reg.parents(id);
+    if (cell.order() == 1) {
+      EXPECT_EQ(parents.size(), 0u) << label << " id " << id;
+      continue;
+    }
+    ASSERT_EQ(parents.size(), cell.predicates().size()) << label;
+    for (size_t i = 0; i < parents.size(); ++i) {
+      EXPECT_EQ(parents[i],
+                reg.Lookup(cell.WithoutAttr(cell.predicates()[i].attr)))
+          << label << " id " << id << " parent " << i;
+    }
+  }
+}
+
+TEST(RegistryParents, MatchLookupWithoutEachPredicate) {
+  const Table table = MakeRepetitiveTable(31, 400);
+  for (const std::vector<AttrId>& explain_by :
+       std::vector<std::vector<AttrId>>{{0}, {3, 1}, {1, 3, 0, 2}}) {
+    for (int order = 1; order <= static_cast<int>(explain_by.size());
+         ++order) {
+      ExpectParentTable(
+          ExplanationRegistry::Build(table, explain_by, order),
+          "order " + std::to_string(order));
+    }
+  }
+  const auto liquor = MakeLiquorTable();
+  ExpectParentTable(ExplanationRegistry::Build(*liquor, {0, 1, 2, 3}, 3),
+                    "liquor");
+}
+
 uint64_t Fnv1a(uint64_t hash, uint64_t word) {
   for (int byte = 0; byte < 8; ++byte) {
     hash ^= (word >> (8 * byte)) & 0xffu;
