@@ -5,7 +5,8 @@
 //   * raw: the line is parsed as JSON (handler path) or answered with
 //     MakeParseError, exactly like the transport;
 //   * assembled (line starts with 0x01): the remaining bytes pick an op
-//     and a soup of known field names with adversarial values — the
+//     (from the protocol's op table, plus one unknown op) and a soup of
+//     known field names with adversarial values — the
 //     structure-aware mode that reaches deep op handlers a text mutator
 //     rarely finds.
 // File-path fields ("path", "csv_path") are rewritten into a per-input
@@ -26,8 +27,11 @@
 
 #include "fuzz/fuzz_util.h"
 #include "src/common/json.h"
+#include "src/common/metrics.h"
+#include "src/common/metrics_history.h"
 #include "src/service/explain_service.h"
 #include "src/service/protocol.h"
+#include "src/service/watchdog.h"
 #include "src/table/csv_reader.h"
 
 namespace {
@@ -35,12 +39,15 @@ namespace {
 using tsexplain::JsonValue;
 using tsexplain::fuzz::ByteSource;
 
-constexpr const char* kOps[] = {
-    "register",       "list_datasets", "drop_dataset",  "explain",
-    "recommend",      "open_session",  "append",        "explain_session",
-    "close_session",  "save_cache",    "load_cache",    "recover_session",
-    "stats",          "metrics",       "shutdown",      "bogus_op",
-};
+// Every op the protocol table serves, plus one it does not.
+const std::vector<std::string>& OpSoup() {
+  static const std::vector<std::string> ops = [] {
+    std::vector<std::string> names = tsexplain::ProtocolHandler::OpNames();
+    names.push_back("bogus_op");
+    return names;
+  }();
+  return ops;
+}
 
 constexpr const char* kFields[] = {
     "id",         "name",        "dataset",       "measure",
@@ -52,6 +59,8 @@ constexpr const char* kFields[] = {
     "k_curve",    "trace",       "session",       "label",
     "rows",       "csv",         "csv_path",      "path",
     "time_column", "measures",   "sort_time",     "op",
+    "format",     "last_n",      "prefix",        "sample",
+    "export_as",
 };
 
 JsonValue SoupValue(ByteSource& src, int depth);
@@ -92,9 +101,9 @@ JsonValue SoupValue(ByteSource& src, int depth) {
 
 JsonValue AssembleRequest(ByteSource& src) {
   std::vector<std::pair<std::string, JsonValue>> members;
+  const std::vector<std::string>& ops = OpSoup();
   members.emplace_back(
-      "op", JsonValue::MakeString(
-                kOps[src.NextByte() % (sizeof(kOps) / sizeof(kOps[0]))]));
+      "op", JsonValue::MakeString(ops[src.NextByte() % ops.size()]));
   members.emplace_back("id", JsonValue::MakeNumber(src.NextByte()));
   const size_t nfields = src.NextByte() % 8;
   for (size_t i = 0; i < nfields; ++i) {
@@ -167,6 +176,17 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
         "ds", tsexplain::fuzz::kSessionBaseCsv(), csv_options,
         &register_error));
     tsexplain::ProtocolHandler handler(service);
+    // Introspection as the server wires it, minus the sampler thread:
+    // healthz/state see a watchdog and metrics_history a small history
+    // that ticks only on "sample":true.
+    tsexplain::QueryWatchdog watchdog;
+    tsexplain::MetricsHistory history(tsexplain::MetricRegistry::Global(),
+                                      {/*interval_ms=*/1000,
+                                       /*capacity=*/8});
+    tsexplain::ProtocolHandler::Introspection introspection;
+    introspection.history = &history;
+    introspection.watchdog = &watchdog;
+    handler.set_introspection(introspection);
 
     // Split the input into NDJSON lines; cap the per-input work so one
     // giant input cannot stall the fuzzer.

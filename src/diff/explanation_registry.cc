@@ -159,41 +159,21 @@ ExplanationRegistry ExplanationRegistry::Build(
                   });
 
   // Pass 2: every cell of order k >= 2 has k parents, one per dropped
-  // predicate, and is their child along the dropped attribute. Ids are
-  // visited in ascending order, so every child list comes out sorted.
+  // predicate; order-1 cells hang off the root and have none.
   const size_t num_cells = reg.cells_.size();
-  reg.children_.resize(num_cells);
   reg.parent_begin_.reserve(num_cells + 1);
   reg.parent_begin_.push_back(0);
-  auto add_child = [](std::vector<ChildGroup>* groups, AttrId attr,
-                      ExplId child) {
-    auto it = std::find_if(
-        groups->begin(), groups->end(),
-        [attr](const ChildGroup& group) { return group.attr == attr; });
-    if (it == groups->end()) it = groups->insert(it, ChildGroup{attr, {}});
-    it->children.push_back(child);
-  };
   for (ExplId id = 0; id < static_cast<ExplId>(num_cells); ++id) {
     const Explanation& cell = reg.cells_[static_cast<size_t>(id)];
-    for (const Predicate& p : cell.predicates()) {
-      if (cell.order() == 1) {
-        add_child(&reg.root_children_, p.attr, id);
-        continue;
+    if (cell.order() > 1) {
+      for (const Predicate& p : cell.predicates()) {
+        const ExplId parent_id = reg.Lookup(cell.WithoutAttr(p.attr));
+        TSE_CHECK_NE(parent_id, kInvalidExplId)
+            << "parent cell missing; enumeration must be downward closed";
+        reg.parents_.push_back(parent_id);
       }
-      const ExplId parent_id = reg.Lookup(cell.WithoutAttr(p.attr));
-      TSE_CHECK_NE(parent_id, kInvalidExplId)
-          << "parent cell missing; enumeration must be downward closed";
-      reg.parents_.push_back(parent_id);
-      add_child(&reg.children_[static_cast<size_t>(parent_id)], p.attr, id);
     }
     reg.parent_begin_.push_back(static_cast<uint32_t>(reg.parents_.size()));
-  }
-  auto by_attr = [](const ChildGroup& a, const ChildGroup& b) {
-    return a.attr < b.attr;
-  };
-  std::sort(reg.root_children_.begin(), reg.root_children_.end(), by_attr);
-  for (std::vector<ChildGroup>& groups : reg.children_) {
-    std::sort(groups.begin(), groups.end(), by_attr);
   }
   return reg;
 }
@@ -216,13 +196,6 @@ const Explanation& ExplanationRegistry::explanation(ExplId id) const {
 ExplId ExplanationRegistry::Lookup(const Explanation& e) const {
   auto it = index_.find(e);
   return it == index_.end() ? kInvalidExplId : it->second;
-}
-
-const std::vector<ChildGroup>& ExplanationRegistry::children(
-    ExplId id) const {
-  TSE_CHECK_GE(id, 0);
-  TSE_CHECK_LT(static_cast<size_t>(id), children_.size());
-  return children_[static_cast<size_t>(id)];
 }
 
 }  // namespace tsexplain

@@ -2,10 +2,10 @@
 //
 // Enumerates every conjunction of order <= max_order over the explain-by
 // attributes that actually occurs in the relation (empty slices can never
-// carry a diff score) and assigns each a dense ExplId. Also materializes the
-// drill-down structure the Cascading Analysts algorithm walks: for each cell
-// and each unconstrained attribute, the list of child cells obtained by
-// adding one predicate on that attribute (paper Figure 8).
+// carry a diff score) and assigns each a dense ExplId. Also records each
+// cell's parents -- the cells obtained by dropping one of its predicates --
+// from which Cascading Analysts builds the drill-down lattice it walks
+// (paper Figure 8).
 //
 // Cost: one hash probe per row groups the rows by their distinct explain-by
 // tuple; the <= max_order attribute subsets are then enumerated once per
@@ -25,12 +25,6 @@
 
 namespace tsexplain {
 
-/// Children of a cell along one drill-down attribute.
-struct ChildGroup {
-  AttrId attr;
-  std::vector<ExplId> children;
-};
-
 /// A run of table rows grouped by their exact explain-by value tuple, with
 /// the registry cell of every (tuple, attribute subset). Tuples are
 /// numbered in first-occurrence row order. Transient: built while an engine
@@ -47,7 +41,7 @@ struct TupleCells {
   }
 };
 
-/// Immutable-after-build candidate set + drill-down lattice.
+/// Immutable-after-build candidate set + parent table.
 class ExplanationRegistry {
  public:
   /// Creates an empty registry (no candidates); assign from Build().
@@ -78,15 +72,6 @@ class ExplanationRegistry {
   /// Id for a conjunction, or kInvalidExplId if it never occurs in data.
   ExplId Lookup(const Explanation& e) const;
 
-  /// Drill-down children of the root (order-1 cells), grouped by attribute.
-  const std::vector<ChildGroup>& root_children() const {
-    return root_children_;
-  }
-
-  /// Drill-down children of a cell, grouped by attribute not yet
-  /// constrained by the cell. Cells at max_order have no children.
-  const std::vector<ChildGroup>& children(ExplId id) const;
-
   /// Parents of a cell in predicate order: parents(id)[i] is the cell
   /// without predicates()[i]. Empty for order-1 cells (their parent is the
   /// root). A [begin, end) range into one flat table.
@@ -112,8 +97,6 @@ class ExplanationRegistry {
   int max_order_ = 0;
   std::vector<Explanation> cells_;
   std::unordered_map<Explanation, ExplId, ExplanationHasher> index_;
-  std::vector<ChildGroup> root_children_;
-  std::vector<std::vector<ChildGroup>> children_;  // aligned with cells_
   std::vector<uint32_t> parent_begin_;  // [id] -> offset into parents_
   std::vector<ExplId> parents_;
 };

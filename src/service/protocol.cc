@@ -86,7 +86,7 @@ std::string MakeError(const JsonValue* request, const std::string& op,
 }
 
 // Begins the {"id":..,"ok":true,"op":..,"request_id":..} envelope; the
-// caller adds op-specific fields and calls EndObject. The request id
+// op handler adds its fields and Respond calls EndObject. The request id
 // stays AHEAD of any op-specific payload so the warm-restart
 // byte-identity checks (everything after `"result":`) are unaffected by
 // per-process id sequences.
@@ -264,86 +264,49 @@ bool ParseQueryConfig(const JsonValue& request, TSExplainConfig* config,
   return true;
 }
 
-bool ProtocolHandler::IsBarrierOp(const std::string& op) {
-  // healthz is the one non-barrier write-free op beyond the read list:
-  // liveness must answer while everything else is wedged, so transports
-  // run it inline without draining (protocol.h).
-  return !(op == "explain" || op == "explain_session" ||
-           op == "recommend" || op == "list_datasets" || op == "healthz");
+namespace {
+
+// One request on its way through an op handler. The handler's `json`
+// already holds the open ok envelope (BeginOk); it appends its own fields.
+struct OpCall {
+  const JsonValue& request;
+  const std::string& op;
+  uint64_t request_id;
+  ExplainService& service;
+  const ProtocolHandler::LogOptions& log;
+  const ProtocolHandler::Introspection& introspection;
+};
+
+// A handler's verdict. An empty `code` is success: the dispatcher closes
+// the envelope. Anything else discards it and answers with MakeError.
+struct OpStatus {
+  std::string code;
+  std::string message;
+  double retry_after_ms = 0.0;
+};
+
+OpStatus ServiceError(const ExplainResponse& response) {
+  return {response.error_code, response.error, response.retry_after_ms};
 }
 
-bool ProtocolHandler::IsExpensiveOp(const std::string& op) {
-  return op == "explain" || op == "explain_session";
-}
-
-std::string ProtocolHandler::OpOf(const JsonValue& request) {
-  return request.GetString("op");
-}
-
-std::string ProtocolHandler::MakeParseError(
-    const std::string& message) const {
-  return MakeError(nullptr, "", error_code::kParseError, message);
-}
-
-std::string ProtocolHandler::MakeOverloaded(const JsonValue& request) const {
-  return MakeError(&request, OpOf(request), error_code::kOverloaded,
-                   "server overloaded: request shed before dispatch",
-                   service_.admission().RetryAfterMsHint());
-}
-
-std::string ProtocolHandler::Handle(const JsonValue& request) {
-  const uint64_t request_id =
-      next_request_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-  // The watchdog brackets the WHOLE handler, so a query wedged anywhere
-  // (admission wait, engine run, render) ages in the in-flight set and
-  // eventually surfaces through healthz / `query.stuck`.
-  if (introspection_.watchdog) {
-    introspection_.watchdog->Begin(request_id, OpOf(request));
-  }
-  Timer timer;
-  const std::string response = HandleInternal(request, request_id);
-  if (introspection_.watchdog) introspection_.watchdog->End(request_id);
-  if (!log_.access_log) return response;
-  // The envelope's "ok" is the first unescaped `"ok":` in the response
-  // (JsonWriter escapes quotes inside string values, so a literal
-  // `"ok":true` can only be the envelope's own field).
-  const size_t ok_pos = response.find("\"ok\":true");
-  const size_t fail_pos = response.find("\"ok\":false");
-  const bool ok = ok_pos != std::string::npos &&
-                  (fail_pos == std::string::npos || ok_pos < fail_pos);
+// Writes a slow-query record when the slow-query log is armed and
+// `response.latency_ms` reached the threshold. `dataset` is empty for
+// session queries; `session` is 0 for dataset queries. The request id
+// joins the record with the access log and the response's trace.
+void MaybeLogSlowQuery(const OpCall& call, const std::string& dataset,
+                       uint64_t session, const std::string& tenant,
+                       const ExplainResponse& response) {
+  const ProtocolHandler::LogOptions& log = call.log;
+  if (!log.slow_query_log || log.slow_query_ms <= 0.0) return;
+  if (response.latency_ms < log.slow_query_ms) return;
   JsonWriter json(/*pretty=*/false);
   json.BeginObject();
   json.Key("ts_ms");
   json.Number(WallMs());
   json.Key("request_id");
-  json.Int(static_cast<long long>(request_id));
+  json.Int(static_cast<long long>(call.request_id));
   json.Key("op");
-  json.String(OpOf(request));
-  json.Key("ok");
-  json.Bool(ok);
-  json.Key("latency_ms");
-  json.Number(timer.ElapsedMs());
-  json.EndObject();
-  log_.access_log->WriteLine(json.str());
-  return response;
-}
-
-void ProtocolHandler::MaybeLogSlowQuery(const std::string& op,
-                                        uint64_t request_id,
-                                        const std::string& dataset,
-                                        uint64_t session,
-                                        const std::string& tenant,
-                                        const ExplainResponse& response) {
-  if (!log_.slow_query_log || log_.slow_query_ms <= 0.0) return;
-  if (response.latency_ms < log_.slow_query_ms) return;
-  JsonWriter json(/*pretty=*/false);
-  json.BeginObject();
-  json.Key("ts_ms");
-  json.Number(WallMs());
-  json.Key("request_id");
-  json.Int(static_cast<long long>(request_id));
-  json.Key("op");
-  json.String(op);
+  json.String(call.op);
   if (!dataset.empty()) {
     json.Key("dataset");
     json.String(dataset);
@@ -381,728 +344,743 @@ void ProtocolHandler::MaybeLogSlowQuery(const std::string& op,
     json.EndObject();
   }
   json.EndObject();
-  log_.slow_query_log->WriteLine(json.str());
+  log.slow_query_log->WriteLine(json.str());
 }
 
-std::string ProtocolHandler::HandleInternal(const JsonValue& request,
-                                            uint64_t request_id) {
+// The served tail shared by explain and explain_session.
+void EmitServed(JsonWriter& json, const ExplainResponse& response) {
+  json.Key("cache_hit");
+  json.Bool(response.cache_hit);
+  json.Key("latency_ms");
+  json.Number(response.latency_ms);
+  EmitTrace(json, response.trace);
+  json.Key("result");
+  json.Raw(response.json);
+}
+
+// Op handlers, one per row of kOps below. -----------------------------------
+
+OpStatus OpRegister(const OpCall& call, JsonWriter& json) {
+  const JsonValue& request = call.request;
+  const std::string name = request.GetString("name");
+  if (name.empty()) return {error_code::kBadRequest, "missing 'name'"};
+  const std::string path = request.GetString("csv_path");
+  const std::string inline_csv = request.GetString("csv");
+  if (path.empty() == inline_csv.empty()) {
+    return {error_code::kBadRequest,
+            "exactly one of 'csv_path' or 'csv' is required"};
+  }
+  DatasetRegistry& registry = call.service.registry();
+  std::string error;
+  DatasetInfo info;  // from registration, not a racy Get() re-lookup
+  bool ok = false;
+  if (!path.empty() && storage::IsTableSnapshotFile(path)) {
+    // A csv_path that is really a binary table snapshot registers
+    // through the storage layer (no re-parse; docs/STORAGE.md). The
+    // time/measure columns are baked into the snapshot's schema, so
+    // 'time_column' is not required.
+    ok = registry.RegisterSnapshotFile(name, path, &error, &info);
+  } else {
+    CsvOptions options;
+    options.time_column = request.GetString("time_column");
+    if (options.time_column.empty()) {
+      return {error_code::kBadRequest, "missing 'time_column'"};
+    }
+    bool measures_ok = true;
+    if (request.Find("measures")) {
+      options.measure_columns =
+          request.GetStringArray("measures", &measures_ok);
+    }
+    if (!measures_ok) {
+      return {error_code::kBadRequest,
+              "'measures' must be an array of strings"};
+    }
+    options.sort_time = request.GetBool("sort_time", true);
+    ok = path.empty() ? registry.RegisterCsvText(name, inline_csv, options,
+                                                 &error, &info)
+                      : registry.RegisterCsvFile(name, path, options, &error,
+                                                 &info);
+  }
+  if (!ok) return {error_code::kBadRequest, error};
+  json.Key("dataset");
+  json.String(name);
+  json.Key("rows");
+  json.Int(static_cast<long long>(info.rows));
+  json.Key("time_buckets");
+  json.Int(static_cast<long long>(info.time_buckets));
+  return {};
+}
+
+OpStatus OpListDatasets(const OpCall& call, JsonWriter& json) {
+  json.Key("datasets");
+  json.BeginArray();
+  for (const DatasetInfo& info : call.service.registry().List()) {
+    json.BeginObject();
+    json.Key("name");
+    json.String(info.name);
+    json.Key("source");
+    json.String(info.source);
+    json.Key("rows");
+    json.Int(static_cast<long long>(info.rows));
+    json.Key("time_buckets");
+    json.Int(static_cast<long long>(info.time_buckets));
+    json.Key("dimensions");
+    json.BeginArray();
+    for (const std::string& dim : info.dimensions) json.String(dim);
+    json.EndArray();
+    json.Key("measures");
+    json.BeginArray();
+    for (const std::string& measure : info.measures) {
+      json.String(measure);
+    }
+    json.EndArray();
+    json.Key("hot_engines");
+    json.Int(static_cast<long long>(info.hot_engines));
+    json.EndObject();
+  }
+  json.EndArray();
+  return {};
+}
+
+OpStatus OpDropDataset(const OpCall& call, JsonWriter& json) {
+  const std::string name = call.request.GetString("name");
+  // Service-level drop: also invalidates the dataset's cached results,
+  // so a later re-register under the same name starts clean.
+  if (!call.service.DropDataset(name)) {
+    return {error_code::kNotFound, "unknown dataset: " + name};
+  }
+  json.Key("dataset");
+  json.String(name);
+  return {};
+}
+
+OpStatus OpExplain(const OpCall& call, JsonWriter& json) {
+  const JsonValue& request = call.request;
+  ExplainRequest explain;
+  explain.dataset = request.GetString("dataset");
+  if (explain.dataset.empty()) {
+    return {error_code::kBadRequest, "missing 'dataset'"};
+  }
+  std::string parse_error;
+  if (!ParseQueryConfig(request, &explain.config, &parse_error)) {
+    return {error_code::kBadRequest, parse_error};
+  }
+  explain.tenant = request.GetString("tenant");
+  explain.include_trendlines = request.GetBool("trendlines", false);
+  explain.include_k_curve = request.GetBool("k_curve", true);
+  explain.trace = request.GetBool("trace", false);
+  const ExplainResponse response = call.service.Explain(explain);
+  MaybeLogSlowQuery(call, explain.dataset, /*session=*/0, explain.tenant,
+                    response);
+  if (!response.ok) return ServiceError(response);
+  json.Key("dataset");
+  json.String(explain.dataset);
+  EmitServed(json, response);
+  return {};
+}
+
+OpStatus OpRecommend(const OpCall& call, JsonWriter& json) {
+  const JsonValue& request = call.request;
+  const std::string dataset = request.GetString("dataset");
+  if (dataset.empty()) return {error_code::kBadRequest, "missing 'dataset'"};
+  AggregateFunction aggregate = AggregateFunction::kSum;
+  const std::string agg = request.GetString("agg", "sum");
+  if (!ParseAggregate(agg, &aggregate)) {
+    return {error_code::kBadRequest, "unknown aggregate: " + agg};
+  }
+  const ExplainService::RecommendResponse response = call.service.Recommend(
+      dataset, aggregate, request.GetString("measure"),
+      request.GetInt("m", 3));
+  if (!response.ok) return {response.error_code, response.error};
+  json.Key("dataset");
+  json.String(dataset);
+  json.Key("recommendations");
+  json.BeginArray();
+  for (const ExplainByRecommendation& rec : response.recommendations) {
+    json.BeginObject();
+    json.Key("dimension");
+    json.String(rec.dimension);
+    json.Key("concentration");
+    json.Number(rec.concentration);
+    json.Key("cardinality");
+    json.Int(static_cast<long long>(rec.cardinality));
+    json.EndObject();
+  }
+  json.EndArray();
+  return {};
+}
+
+OpStatus OpOpenSession(const OpCall& call, JsonWriter& json) {
+  const std::string dataset = call.request.GetString("dataset");
+  if (dataset.empty()) return {error_code::kBadRequest, "missing 'dataset'"};
+  TSExplainConfig config;
+  std::string parse_error;
+  if (!ParseQueryConfig(call.request, &config, &parse_error)) {
+    return {error_code::kBadRequest, parse_error};
+  }
+  std::string error;
+  const uint64_t session = call.service.OpenSession(dataset, config, &error);
+  if (session == 0) return {error_code::kInvalidQuery, error};
+  json.Key("session");
+  json.Int(static_cast<long long>(session));
+  json.Key("n");
+  json.Int(call.service.SessionLength(session));
+  const std::string log_path = call.service.SessionLogPath(session);
+  if (!log_path.empty()) {
+    // The crash-recovery log (pid-scoped name — clients must not guess
+    // it); pass it to recover_session after a crash.
+    json.Key("log");
+    json.String(log_path);
+  }
+  return {};
+}
+
+OpStatus OpAppend(const OpCall& call, JsonWriter& json) {
+  const JsonValue& request = call.request;
+  uint64_t session = 0;
+  std::string error;
+  if (!ParseSessionId(request, &session, &error)) {
+    return {error_code::kBadRequest, error};
+  }
+  const std::string label = request.GetString("label");
+  if (label.empty()) return {error_code::kBadRequest, "missing 'label'"};
+  const JsonValue* rows_json = request.Find("rows");
+  if (!rows_json || !rows_json->IsArray()) {
+    return {error_code::kBadRequest, "'rows' must be an array"};
+  }
+  std::vector<StreamRow> rows;
+  rows.reserve(rows_json->array().size());
+  for (const JsonValue& row_json : rows_json->array()) {
+    StreamRow row;
+    bool dims_ok = false;
+    row.dims = row_json.GetStringArray("dims", &dims_ok);
+    const JsonValue* measures = row_json.Find("measures");
+    if (!row_json.IsObject() || !dims_ok || !measures ||
+        !measures->IsArray()) {
+      return {error_code::kBadRequest,
+              "each row needs 'dims' (strings) and 'measures' (numbers)"};
+    }
+    for (const JsonValue& m : measures->array()) {
+      if (!m.IsNumber()) {
+        return {error_code::kBadRequest,
+                "'measures' entries must be numbers"};
+      }
+      row.measures.push_back(m.AsDouble());
+    }
+    rows.push_back(std::move(row));
+  }
+  if (!call.service.Append(session, label, rows, &error)) {
+    const bool unknown = error.rfind("unknown session", 0) == 0;
+    return {unknown ? error_code::kNotFound : error_code::kBadRequest,
+            error};
+  }
+  json.Key("session");
+  json.Int(static_cast<long long>(session));
+  json.Key("n");
+  json.Int(call.service.SessionLength(session));
+  json.Key("rebuilt");
+  json.Bool(call.service.SessionLastAppendRebuilt(session));
+  return {};
+}
+
+OpStatus OpExplainSession(const OpCall& call, JsonWriter& json) {
+  const JsonValue& request = call.request;
+  uint64_t session = 0;
+  std::string error;
+  if (!ParseSessionId(request, &session, &error)) {
+    return {error_code::kBadRequest, error};
+  }
+  const std::string tenant = request.GetString("tenant");
+  const ExplainResponse response = call.service.ExplainSession(
+      session, request.GetBool("trendlines", false),
+      request.GetBool("k_curve", true), tenant,
+      request.GetBool("trace", false));
+  MaybeLogSlowQuery(call, /*dataset=*/"", session, tenant, response);
+  if (!response.ok) return ServiceError(response);
+  json.Key("session");
+  json.Int(static_cast<long long>(session));
+  json.Key("n");
+  json.Int(call.service.SessionLength(session));
+  EmitServed(json, response);
+  return {};
+}
+
+OpStatus OpCloseSession(const OpCall& call, JsonWriter& json) {
+  uint64_t session = 0;
+  std::string error;
+  if (!ParseSessionId(call.request, &session, &error)) {
+    return {error_code::kBadRequest, error};
+  }
+  if (!call.service.CloseSession(session)) {
+    return {error_code::kNotFound,
+            StrFormat("unknown session: %llu",
+                      static_cast<unsigned long long>(session))};
+  }
+  json.Key("session");
+  json.Int(static_cast<long long>(session));
+  return {};
+}
+
+OpStatus OpSaveOrLoadCache(const OpCall& call, JsonWriter& json) {
+  const std::string path = call.request.GetString("path");
+  if (path.empty()) return {error_code::kBadRequest, "missing 'path'"};
+  const bool save = call.op == "save_cache";
+  std::string error;
+  size_t primary = 0;
+  size_t fenced = 0;
+  const bool ok =
+      save ? call.service.SaveCache(path, &error, &primary)
+           : call.service.LoadCache(path, &error, &primary, &fenced);
+  if (!ok) return {error_code::kBadRequest, error};
+  json.Key("path");
+  json.String(path);
+  json.Key(save ? "saved" : "restored");
+  json.Int(static_cast<long long>(primary));
+  if (!save) {
+    json.Key("fenced");
+    json.Int(static_cast<long long>(fenced));
+  }
+  return {};
+}
+
+OpStatus OpRecoverSession(const OpCall& call, JsonWriter& json) {
+  const std::string path = call.request.GetString("path");
+  if (path.empty()) return {error_code::kBadRequest, "missing 'path'"};
+  std::string error;
+  bool torn = false;
+  int replayed = 0;
+  const uint64_t session =
+      call.service.RecoverSession(path, &error, &torn, &replayed);
+  if (session == 0) {
+    const bool unknown = error.rfind("unknown dataset", 0) == 0;
+    return {unknown ? error_code::kNotFound : error_code::kBadRequest,
+            error};
+  }
+  json.Key("session");
+  json.Int(static_cast<long long>(session));
+  json.Key("n");
+  json.Int(call.service.SessionLength(session));
+  json.Key("replayed");
+  json.Int(replayed);
+  json.Key("torn");
+  json.Bool(torn);
+  const std::string log_path = call.service.SessionLogPath(session);
+  if (!log_path.empty()) {
+    json.Key("log");
+    json.String(log_path);
+  }
+  return {};
+}
+
+OpStatus OpHealthz(const OpCall& call, JsonWriter& json) {
+  // Liveness probe. Reads ONLY the watchdog's own mutex and the wall
+  // clock — never the registry, cache, admission, or engine mutexes —
+  // so it answers even while every pool worker is wedged inside a
+  // compute (it is the one OpDispatch::kInline op for the same reason).
+  QueryWatchdog::Status status;
+  if (call.introspection.watchdog != nullptr) {
+    status = call.introspection.watchdog->Scan();
+  }
+  json.Key("status");
+  json.String(status.stuck.empty() ? "ok" : "stuck");
+  json.Key("uptime_seconds");
+  json.Number(UptimeSeconds(call.introspection.start_wall_ms));
+  json.Key("inflight");  // includes this healthz request itself
+  json.Int(static_cast<long long>(status.inflight));
+  json.Key("stuck");
+  json.Int(static_cast<long long>(status.stuck.size()));
+  if (!status.stuck.empty()) {
+    json.Key("stuck_queries");
+    json.BeginArray();
+    for (const QueryWatchdog::StuckQuery& query : status.stuck) {
+      json.BeginObject();
+      json.Key("request_id");
+      json.Int(static_cast<long long>(query.request_id));
+      json.Key("op");
+      json.String(query.op);
+      json.Key("age_ms");
+      json.Number(query.age_ms);
+      json.EndObject();
+    }
+    json.EndArray();
+  }
+  return {};
+}
+
+OpStatus OpState(const OpCall& call, JsonWriter& json) {
+  // Operator introspection: everything an on-call wants in one shot —
+  // build identity, datasets with content fingerprints, live sessions,
+  // admission occupancy vs limits, cache bytes, watchdog state. Unlike
+  // healthz this DOES take service-wide mutexes (briefly), so it runs
+  // as a normal barrier op.
+  ExplainService& service = call.service;
+  const ProtocolHandler::Introspection& introspection = call.introspection;
+  const ServiceStats stats = service.Stats();
+  QueryWatchdog::Status watchdog_status;
+  double stuck_after_ms = 0.0;
+  if (introspection.watchdog != nullptr) {
+    watchdog_status = introspection.watchdog->Scan();
+    stuck_after_ms = introspection.watchdog->stuck_after_ms();
+  }
+  json.Key("uptime_seconds");
+  json.Number(UptimeSeconds(introspection.start_wall_ms));
+  EmitBuildInfo(json, introspection.pool_size);
+  json.Key("datasets");
+  json.BeginArray();
+  for (const DatasetInfo& info : service.registry().List()) {
+    json.BeginObject();
+    json.Key("name");
+    json.String(info.name);
+    json.Key("source");
+    json.String(info.source);
+    json.Key("rows");
+    json.Int(static_cast<long long>(info.rows));
+    json.Key("time_buckets");
+    json.Int(static_cast<long long>(info.time_buckets));
+    json.Key("fingerprint");
+    json.String(StrFormat(
+        "%016llx", static_cast<unsigned long long>(info.fingerprint)));
+    json.Key("hot_engines");
+    json.Int(static_cast<long long>(info.hot_engines));
+    json.EndObject();
+  }
+  json.EndArray();
+  json.Key("open_sessions");
+  json.Int(static_cast<long long>(stats.open_sessions));
+  json.Key("tenants");
+  json.Int(static_cast<long long>(stats.tenants));
+  json.Key("tenant_bytes");
+  json.BeginObject();
+  for (const auto& [tenant, bytes] : stats.tenant_bytes) {
+    json.Key(tenant);
+    json.Int(static_cast<long long>(bytes));
+  }
+  json.EndObject();
+  json.Key("admission");
+  json.BeginObject();
+  json.Key("active");
+  json.Int(static_cast<long long>(stats.admission.active));
+  json.Key("queued");
+  json.Int(static_cast<long long>(stats.admission.queued));
+  json.Key("peak_active");
+  json.Int(static_cast<long long>(stats.admission.peak_active));
+  json.Key("peak_queued");
+  json.Int(static_cast<long long>(stats.admission.peak_queued));
+  json.Key("max_concurrent");
+  json.Int(service.admission().max_concurrent());
+  json.Key("queue_depth");
+  json.Int(service.admission().queue_depth());
+  json.EndObject();
+  json.Key("cache");
+  json.BeginObject();
+  json.Key("entries");
+  json.Int(static_cast<long long>(stats.cache.entries));
+  json.Key("bytes_used");
+  json.Int(static_cast<long long>(stats.cache.bytes_used));
+  json.Key("capacity_bytes");
+  json.Int(static_cast<long long>(stats.cache.capacity_bytes));
+  json.EndObject();
+  json.Key("watchdog");
+  json.BeginObject();
+  json.Key("inflight");
+  json.Int(static_cast<long long>(watchdog_status.inflight));
+  json.Key("stuck");
+  json.Int(static_cast<long long>(watchdog_status.stuck.size()));
+  json.Key("stuck_after_ms");
+  json.Number(stuck_after_ms);
+  json.EndObject();
+  return {};
+}
+
+OpStatus OpStats(const OpCall& call, JsonWriter& json) {
+  // Counter and gauge fields are sourced from the process-wide metrics
+  // registry — the same series the `metrics` op exports — so the two
+  // views can never disagree. Structural fields (datasets, sessions,
+  // tenants, capacity) stay with the service. Field names and order
+  // are byte-compatible with the pre-registry wire shape (asserted by
+  // tests/server_smoke_test.sh).
+  const ServiceStats stats = call.service.Stats();
+  const MetricsSnapshot snapshot = MetricRegistry::Global().Snapshot();
+  const auto counter = [&snapshot](const char* name) -> long long {
+    const uint64_t* value = snapshot.FindCounter(name);
+    return value ? static_cast<long long>(*value) : 0;
+  };
+  const auto gauge = [&snapshot](const char* name) -> long long {
+    const int64_t* value = snapshot.FindGauge(name);
+    return value ? static_cast<long long>(*value) : 0;
+  };
+  json.Key("datasets");
+  json.Int(static_cast<long long>(stats.datasets));
+  json.Key("hot_engines");
+  json.Int(static_cast<long long>(stats.hot_engines));
+  json.Key("open_sessions");
+  json.Int(static_cast<long long>(stats.open_sessions));
+  json.Key("tenants");
+  json.Int(static_cast<long long>(stats.tenants));
+  json.Key("tenant_bytes");
+  json.BeginObject();
+  for (const auto& [tenant, bytes] : stats.tenant_bytes) {
+    json.Key(tenant);
+    json.Int(static_cast<long long>(bytes));
+  }
+  json.EndObject();
+  json.Key("admission");
+  json.BeginObject();
+  json.Key("admitted");
+  json.Int(counter("admission.admitted"));
+  json.Key("coalesced");
+  json.Int(counter("admission.coalesced"));
+  json.Key("shed_overload");
+  json.Int(counter("admission.shed_overload"));
+  json.Key("shed_tenant");
+  json.Int(counter("admission.shed_tenant"));
+  json.Key("backlog_shed");
+  json.Int(counter("admission.backlog_shed"));
+  json.Key("active");
+  json.Int(gauge("admission.active"));
+  json.Key("queued");
+  json.Int(gauge("admission.queued"));
+  json.Key("peak_active");
+  json.Int(gauge("admission.peak_active"));
+  json.Key("peak_queued");
+  json.Int(gauge("admission.peak_queued"));
+  json.EndObject();
+  json.Key("cache");
+  json.BeginObject();
+  json.Key("hits");
+  json.Int(counter("cache.hits"));
+  json.Key("misses");
+  json.Int(counter("cache.misses"));
+  json.Key("coalesced");
+  json.Int(counter("cache.coalesced"));
+  json.Key("evictions");
+  json.Int(counter("cache.evictions"));
+  json.Key("budget_evictions");
+  json.Int(counter("cache.budget_evictions"));
+  json.Key("invalidations");
+  json.Int(counter("cache.invalidations"));
+  json.Key("entries");
+  json.Int(gauge("cache.entries"));
+  json.Key("bytes_used");
+  json.Int(gauge("cache.bytes_used"));
+  json.Key("capacity_bytes");
+  json.Int(static_cast<long long>(stats.cache.capacity_bytes));
+  json.EndObject();
+  return {};
+}
+
+OpStatus OpMetrics(const OpCall& call, JsonWriter& json) {
+  // Scrape endpoint: the registry's full contents, as structured JSON
+  // (default) or as a Prometheus text exposition embedded in the
+  // envelope's "text" field (docs/OBSERVABILITY.md has the scrape
+  // recipe).
+  const std::string format = call.request.GetString("format", "json");
+  if (format != "json" && format != "prometheus") {
+    return {error_code::kBadRequest,
+            "unknown format: " + format +
+                " (expected 'json' or 'prometheus')"};
+  }
+  const MetricsSnapshot snapshot = MetricRegistry::Global().Snapshot();
+  json.Key("uptime_seconds");
+  json.Number(UptimeSeconds(call.introspection.start_wall_ms));
+  EmitBuildInfo(json, call.introspection.pool_size);
+  if (format == "prometheus") {
+    json.Key("format");
+    json.String("prometheus");
+    json.Key("text");
+    json.String(RenderPrometheusText(snapshot));
+  } else {
+    json.Key("metrics");
+    json.Raw(RenderMetricsJson(snapshot));
+  }
+  return {};
+}
+
+OpStatus OpMetricsHistory(const OpCall& call, JsonWriter& json) {
+  // Windowed time-series view of the registry (docs/OBSERVABILITY.md,
+  // "Self-observation"). Optional fields: "format" ("json"|"csv"),
+  // "last_n" (trailing ticks only), "prefix" (series-name filter),
+  // "sample" (true = take one synchronous tick first — how tests and
+  // the soak harness get deterministic ticks without a live sampler),
+  // and "export_as" (materialize the window as a registered dataset so
+  // explain can run over the server's own telemetry).
+  const JsonValue& request = call.request;
+  MetricsHistory* history = call.introspection.history;
+  if (history == nullptr) {
+    return {error_code::kBadRequest,
+            "metrics history is not enabled on this server"};
+  }
+  const std::string format = request.GetString("format", "json");
+  if (format != "json" && format != "csv") {
+    return {error_code::kBadRequest,
+            "unknown format: " + format + " (expected 'json' or 'csv')"};
+  }
+  const int last_n_raw = request.GetInt("last_n", 0);
+  if (last_n_raw < 0) return {error_code::kBadRequest, "last_n must be >= 0"};
+  const size_t last_n = static_cast<size_t>(last_n_raw);
+  const std::string prefix = request.GetString("prefix");
+  if (request.GetBool("sample", false)) history->SampleNow();
+  const std::string export_as = request.GetString("export_as");
+  if (!export_as.empty()) {
+    std::shared_ptr<const Table> table =
+        history->ExportAsTable(last_n, prefix);
+    if (table == nullptr) {
+      return {error_code::kBadRequest,
+              "metrics history has fewer than two ticks; nothing to export"};
+    }
+    std::string error;
+    DatasetInfo info;
+    if (!call.service.registry().RegisterTable(export_as, std::move(table),
+                                               "<metrics_history>", &error,
+                                               &info)) {
+      return {error_code::kBadRequest, error};
+    }
+    json.Key("dataset");
+    json.String(info.name);
+    json.Key("rows");
+    json.Int(static_cast<long long>(info.rows));
+    json.Key("time_buckets");
+    json.Int(static_cast<long long>(info.time_buckets));
+    return {};
+  }
+  const HistoryWindow window = history->Window(last_n, prefix);
+  if (format == "csv") {
+    json.Key("format");
+    json.String("csv");
+    json.Key("text");
+    json.String(RenderHistoryCsv(window));
+  } else {
+    json.Key("history");
+    json.Raw(RenderHistoryJson(window));
+  }
+  return {};
+}
+
+OpStatus OpShutdown(const OpCall& /*call*/, JsonWriter& /*json*/) {
+  // The transport stops reading after this op's response.
+  return {};
+}
+
+// The protocol: every op the server answers, how the transport dispatches
+// it (protocol.h, OpDispatch), and its handler. docs/SERVICE.md documents
+// each row; lint rule R9 (op-doc-drift) keeps the two in step.
+struct OpSpec {
+  const char* name;
+  OpDispatch dispatch;
+  OpStatus (*handler)(const OpCall&, JsonWriter&);
+};
+
+constexpr OpSpec kOps[] = {
+    {"register", OpDispatch::kBarrier, OpRegister},
+    {"list_datasets", OpDispatch::kPooled, OpListDatasets},
+    {"drop_dataset", OpDispatch::kBarrier, OpDropDataset},
+    {"explain", OpDispatch::kAdmitted, OpExplain},
+    {"recommend", OpDispatch::kPooled, OpRecommend},
+    {"open_session", OpDispatch::kBarrier, OpOpenSession},
+    {"append", OpDispatch::kBarrier, OpAppend},
+    {"explain_session", OpDispatch::kAdmitted, OpExplainSession},
+    {"close_session", OpDispatch::kBarrier, OpCloseSession},
+    {"save_cache", OpDispatch::kBarrier, OpSaveOrLoadCache},
+    {"load_cache", OpDispatch::kBarrier, OpSaveOrLoadCache},
+    {"recover_session", OpDispatch::kBarrier, OpRecoverSession},
+    {"healthz", OpDispatch::kInline, OpHealthz},
+    {"state", OpDispatch::kBarrier, OpState},
+    {"stats", OpDispatch::kBarrier, OpStats},
+    {"metrics", OpDispatch::kBarrier, OpMetrics},
+    {"metrics_history", OpDispatch::kBarrier, OpMetricsHistory},
+    {"shutdown", OpDispatch::kBarrier, OpShutdown},
+};
+
+const OpSpec* FindOp(const std::string& op) {
+  for (const OpSpec& spec : kOps) {
+    if (op == spec.name) return &spec;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+OpDispatch ProtocolHandler::DispatchOf(const std::string& op) {
+  const OpSpec* spec = FindOp(op);
+  return spec ? spec->dispatch : OpDispatch::kBarrier;
+}
+
+std::vector<std::string> ProtocolHandler::OpNames() {
+  std::vector<std::string> names;
+  for (const OpSpec& spec : kOps) names.push_back(spec.name);
+  return names;
+}
+
+std::string ProtocolHandler::OpOf(const JsonValue& request) {
+  return request.GetString("op");
+}
+
+std::string ProtocolHandler::MakeParseError(
+    const std::string& message) const {
+  return MakeError(nullptr, "", error_code::kParseError, message);
+}
+
+std::string ProtocolHandler::MakeOverloaded(const JsonValue& request) const {
+  return MakeError(&request, OpOf(request), error_code::kOverloaded,
+                   "server overloaded: request shed before dispatch",
+                   service_.admission().RetryAfterMsHint());
+}
+
+std::string ProtocolHandler::Handle(const JsonValue& request) {
+  const uint64_t request_id =
+      next_request_id_.fetch_add(1, std::memory_order_relaxed) + 1;
+  // The watchdog brackets the WHOLE handler, so a query wedged anywhere
+  // (admission wait, engine run, render) ages in the in-flight set and
+  // eventually surfaces through healthz / `query.stuck`.
+  if (introspection_.watchdog) {
+    introspection_.watchdog->Begin(request_id, OpOf(request));
+  }
+  Timer timer;
+  bool ok = false;
+  const std::string response = Respond(request, request_id, &ok);
+  if (introspection_.watchdog) introspection_.watchdog->End(request_id);
+  if (!log_.access_log) return response;
+  JsonWriter json(/*pretty=*/false);
+  json.BeginObject();
+  json.Key("ts_ms");
+  json.Number(WallMs());
+  json.Key("request_id");
+  json.Int(static_cast<long long>(request_id));
+  json.Key("op");
+  json.String(OpOf(request));
+  json.Key("ok");
+  json.Bool(ok);
+  json.Key("latency_ms");
+  json.Number(timer.ElapsedMs());
+  json.EndObject();
+  log_.access_log->WriteLine(json.str());
+  return response;
+}
+
+std::string ProtocolHandler::Respond(const JsonValue& request,
+                                     uint64_t request_id, bool* ok) {
+  *ok = false;
   if (!request.IsObject()) {
     return MakeError(&request, "", error_code::kBadRequest,
                      "request must be a JSON object");
   }
   const std::string op = OpOf(request);
-
-  if (op == "register") {
-    const std::string name = request.GetString("name");
-    if (name.empty()) {
-      return MakeError(&request, op, error_code::kBadRequest,
-                       "missing 'name'");
-    }
-    const std::string path = request.GetString("csv_path");
-    const std::string inline_csv = request.GetString("csv");
-    if (path.empty() == inline_csv.empty()) {
-      return MakeError(&request, op, error_code::kBadRequest,
-                       "exactly one of 'csv_path' or 'csv' is required");
-    }
-    std::string error;
-    DatasetInfo info;  // from registration, not a racy Get() re-lookup
-    bool ok = false;
-    if (!path.empty() && storage::IsTableSnapshotFile(path)) {
-      // A csv_path that is really a binary table snapshot registers
-      // through the storage layer (no re-parse; docs/STORAGE.md). The
-      // time/measure columns are baked into the snapshot's schema, so
-      // 'time_column' is not required.
-      ok = service_.registry().RegisterSnapshotFile(name, path, &error,
-                                                    &info);
-    } else {
-      CsvOptions options;
-      options.time_column = request.GetString("time_column");
-      if (options.time_column.empty()) {
-        return MakeError(&request, op, error_code::kBadRequest,
-                         "missing 'time_column'");
-      }
-      bool measures_ok = true;
-      if (request.Find("measures")) {
-        options.measure_columns =
-            request.GetStringArray("measures", &measures_ok);
-      }
-      if (!measures_ok) {
-        return MakeError(&request, op, error_code::kBadRequest,
-                         "'measures' must be an array of strings");
-      }
-      options.sort_time = request.GetBool("sort_time", true);
-      ok = path.empty()
-               ? service_.registry().RegisterCsvText(name, inline_csv,
-                                                     options, &error, &info)
-               : service_.registry().RegisterCsvFile(name, path, options,
-                                                     &error, &info);
-    }
-    if (!ok) {
-      return MakeError(&request, op, error_code::kBadRequest, error);
-    }
-    JsonWriter json(false);
-    BeginOk(json, request, op, request_id);
-    json.Key("dataset");
-    json.String(name);
-    json.Key("rows");
-    json.Int(static_cast<long long>(info.rows));
-    json.Key("time_buckets");
-    json.Int(static_cast<long long>(info.time_buckets));
-    json.EndObject();
-    return json.str();
+  const OpSpec* spec = FindOp(op);
+  if (spec == nullptr) {
+    return MakeError(&request, op, error_code::kUnknownOp,
+                     op.empty() ? "missing 'op'" : "unknown op: " + op);
   }
-
-  if (op == "list_datasets") {
-    JsonWriter json(false);
-    BeginOk(json, request, op, request_id);
-    json.Key("datasets");
-    json.BeginArray();
-    for (const DatasetInfo& info : service_.registry().List()) {
-      json.BeginObject();
-      json.Key("name");
-      json.String(info.name);
-      json.Key("source");
-      json.String(info.source);
-      json.Key("rows");
-      json.Int(static_cast<long long>(info.rows));
-      json.Key("time_buckets");
-      json.Int(static_cast<long long>(info.time_buckets));
-      json.Key("dimensions");
-      json.BeginArray();
-      for (const std::string& dim : info.dimensions) json.String(dim);
-      json.EndArray();
-      json.Key("measures");
-      json.BeginArray();
-      for (const std::string& measure : info.measures) {
-        json.String(measure);
-      }
-      json.EndArray();
-      json.Key("hot_engines");
-      json.Int(static_cast<long long>(info.hot_engines));
-      json.EndObject();
-    }
-    json.EndArray();
-    json.EndObject();
-    return json.str();
+  JsonWriter json(/*pretty=*/false);
+  BeginOk(json, request, op, request_id);
+  const OpCall call{request, op, request_id, service_, log_, introspection_};
+  const OpStatus status = spec->handler(call, json);
+  if (!status.code.empty()) {
+    return MakeError(&request, op, status.code, status.message,
+                     status.retry_after_ms);
   }
-
-  if (op == "drop_dataset") {
-    const std::string name = request.GetString("name");
-    // Service-level drop: also invalidates the dataset's cached results,
-    // so a later re-register under the same name starts clean.
-    if (!service_.DropDataset(name)) {
-      return MakeError(&request, op, error_code::kNotFound,
-                       "unknown dataset: " + name);
-    }
-    JsonWriter json(false);
-    BeginOk(json, request, op, request_id);
-    json.Key("dataset");
-    json.String(name);
-    json.EndObject();
-    return json.str();
-  }
-
-  if (op == "explain") {
-    ExplainRequest explain;
-    explain.dataset = request.GetString("dataset");
-    if (explain.dataset.empty()) {
-      return MakeError(&request, op, error_code::kBadRequest,
-                       "missing 'dataset'");
-    }
-    std::string parse_error;
-    if (!ParseQueryConfig(request, &explain.config, &parse_error)) {
-      return MakeError(&request, op, error_code::kBadRequest, parse_error);
-    }
-    explain.tenant = request.GetString("tenant");
-    explain.include_trendlines = request.GetBool("trendlines", false);
-    explain.include_k_curve = request.GetBool("k_curve", true);
-    explain.trace = request.GetBool("trace", false);
-    const ExplainResponse response = service_.Explain(explain);
-    MaybeLogSlowQuery(op, request_id, explain.dataset, /*session=*/0,
-                      explain.tenant, response);
-    if (!response.ok) {
-      return MakeError(&request, op, response.error_code, response.error,
-                       response.retry_after_ms);
-    }
-    JsonWriter json(false);
-    BeginOk(json, request, op, request_id);
-    json.Key("dataset");
-    json.String(explain.dataset);
-    json.Key("cache_hit");
-    json.Bool(response.cache_hit);
-    json.Key("latency_ms");
-    json.Number(response.latency_ms);
-    EmitTrace(json, response.trace);
-    json.Key("result");
-    json.Raw(response.json);
-    json.EndObject();
-    return json.str();
-  }
-
-  if (op == "recommend") {
-    const std::string dataset = request.GetString("dataset");
-    if (dataset.empty()) {
-      return MakeError(&request, op, error_code::kBadRequest,
-                       "missing 'dataset'");
-    }
-    AggregateFunction aggregate = AggregateFunction::kSum;
-    const std::string agg = request.GetString("agg", "sum");
-    if (!ParseAggregate(agg, &aggregate)) {
-      return MakeError(&request, op, error_code::kBadRequest,
-                       "unknown aggregate: " + agg);
-    }
-    const ExplainService::RecommendResponse response = service_.Recommend(
-        dataset, aggregate, request.GetString("measure"),
-        request.GetInt("m", 3));
-    if (!response.ok) {
-      return MakeError(&request, op, response.error_code, response.error);
-    }
-    JsonWriter json(false);
-    BeginOk(json, request, op, request_id);
-    json.Key("dataset");
-    json.String(dataset);
-    json.Key("recommendations");
-    json.BeginArray();
-    for (const ExplainByRecommendation& rec : response.recommendations) {
-      json.BeginObject();
-      json.Key("dimension");
-      json.String(rec.dimension);
-      json.Key("concentration");
-      json.Number(rec.concentration);
-      json.Key("cardinality");
-      json.Int(static_cast<long long>(rec.cardinality));
-      json.EndObject();
-    }
-    json.EndArray();
-    json.EndObject();
-    return json.str();
-  }
-
-  if (op == "open_session") {
-    const std::string dataset = request.GetString("dataset");
-    if (dataset.empty()) {
-      return MakeError(&request, op, error_code::kBadRequest,
-                       "missing 'dataset'");
-    }
-    TSExplainConfig config;
-    std::string parse_error;
-    if (!ParseQueryConfig(request, &config, &parse_error)) {
-      return MakeError(&request, op, error_code::kBadRequest, parse_error);
-    }
-    std::string error;
-    const uint64_t session = service_.OpenSession(dataset, config, &error);
-    if (session == 0) {
-      return MakeError(&request, op, error_code::kInvalidQuery, error);
-    }
-    JsonWriter json(false);
-    BeginOk(json, request, op, request_id);
-    json.Key("session");
-    json.Int(static_cast<long long>(session));
-    json.Key("n");
-    json.Int(service_.SessionLength(session));
-    const std::string log_path = service_.SessionLogPath(session);
-    if (!log_path.empty()) {
-      // The crash-recovery log (pid-scoped name — clients must not guess
-      // it); pass it to recover_session after a crash.
-      json.Key("log");
-      json.String(log_path);
-    }
-    json.EndObject();
-    return json.str();
-  }
-
-  if (op == "append") {
-    uint64_t session = 0;
-    std::string error;
-    if (!ParseSessionId(request, &session, &error)) {
-      return MakeError(&request, op, error_code::kBadRequest, error);
-    }
-    const std::string label = request.GetString("label");
-    if (label.empty()) {
-      return MakeError(&request, op, error_code::kBadRequest,
-                       "missing 'label'");
-    }
-    const JsonValue* rows_json = request.Find("rows");
-    if (!rows_json || !rows_json->IsArray()) {
-      return MakeError(&request, op, error_code::kBadRequest,
-                       "'rows' must be an array");
-    }
-    std::vector<StreamRow> rows;
-    rows.reserve(rows_json->array().size());
-    for (const JsonValue& row_json : rows_json->array()) {
-      StreamRow row;
-      bool dims_ok = false;
-      row.dims = row_json.GetStringArray("dims", &dims_ok);
-      const JsonValue* measures = row_json.Find("measures");
-      if (!row_json.IsObject() || !dims_ok || !measures ||
-          !measures->IsArray()) {
-        return MakeError(&request, op, error_code::kBadRequest,
-                         "each row needs 'dims' (strings) and 'measures' "
-                         "(numbers)");
-      }
-      for (const JsonValue& m : measures->array()) {
-        if (!m.IsNumber()) {
-          return MakeError(&request, op, error_code::kBadRequest,
-                           "'measures' entries must be numbers");
-        }
-        row.measures.push_back(m.AsDouble());
-      }
-      rows.push_back(std::move(row));
-    }
-    if (!service_.Append(session, label, rows, &error)) {
-      const bool unknown = error.rfind("unknown session", 0) == 0;
-      return MakeError(&request, op,
-                       unknown ? error_code::kNotFound
-                               : error_code::kBadRequest,
-                       error);
-    }
-    JsonWriter json(false);
-    BeginOk(json, request, op, request_id);
-    json.Key("session");
-    json.Int(static_cast<long long>(session));
-    json.Key("n");
-    json.Int(service_.SessionLength(session));
-    json.Key("rebuilt");
-    json.Bool(service_.SessionLastAppendRebuilt(session));
-    json.EndObject();
-    return json.str();
-  }
-
-  if (op == "explain_session") {
-    uint64_t session = 0;
-    std::string error;
-    if (!ParseSessionId(request, &session, &error)) {
-      return MakeError(&request, op, error_code::kBadRequest, error);
-    }
-    const std::string tenant = request.GetString("tenant");
-    const ExplainResponse response = service_.ExplainSession(
-        session, request.GetBool("trendlines", false),
-        request.GetBool("k_curve", true), tenant,
-        request.GetBool("trace", false));
-    MaybeLogSlowQuery(op, request_id, /*dataset=*/"", session, tenant,
-                      response);
-    if (!response.ok) {
-      return MakeError(&request, op, response.error_code, response.error,
-                       response.retry_after_ms);
-    }
-    JsonWriter json(false);
-    BeginOk(json, request, op, request_id);
-    json.Key("session");
-    json.Int(static_cast<long long>(session));
-    json.Key("n");
-    json.Int(service_.SessionLength(session));
-    json.Key("cache_hit");
-    json.Bool(response.cache_hit);
-    json.Key("latency_ms");
-    json.Number(response.latency_ms);
-    EmitTrace(json, response.trace);
-    json.Key("result");
-    json.Raw(response.json);
-    json.EndObject();
-    return json.str();
-  }
-
-  if (op == "close_session") {
-    uint64_t session = 0;
-    std::string error;
-    if (!ParseSessionId(request, &session, &error)) {
-      return MakeError(&request, op, error_code::kBadRequest, error);
-    }
-    if (!service_.CloseSession(session)) {
-      return MakeError(&request, op, error_code::kNotFound,
-                       StrFormat("unknown session: %llu",
-                                 static_cast<unsigned long long>(session)));
-    }
-    JsonWriter json(false);
-    BeginOk(json, request, op, request_id);
-    json.Key("session");
-    json.Int(static_cast<long long>(session));
-    json.EndObject();
-    return json.str();
-  }
-
-  if (op == "save_cache" || op == "load_cache") {
-    const std::string path = request.GetString("path");
-    if (path.empty()) {
-      return MakeError(&request, op, error_code::kBadRequest,
-                       "missing 'path'");
-    }
-    std::string error;
-    size_t primary = 0;
-    size_t fenced = 0;
-    const bool ok = op == "save_cache"
-                        ? service_.SaveCache(path, &error, &primary)
-                        : service_.LoadCache(path, &error, &primary,
-                                             &fenced);
-    if (!ok) {
-      return MakeError(&request, op, error_code::kBadRequest, error);
-    }
-    JsonWriter json(false);
-    BeginOk(json, request, op, request_id);
-    json.Key("path");
-    json.String(path);
-    json.Key(op == "save_cache" ? "saved" : "restored");
-    json.Int(static_cast<long long>(primary));
-    if (op == "load_cache") {
-      json.Key("fenced");
-      json.Int(static_cast<long long>(fenced));
-    }
-    json.EndObject();
-    return json.str();
-  }
-
-  if (op == "recover_session") {
-    const std::string path = request.GetString("path");
-    if (path.empty()) {
-      return MakeError(&request, op, error_code::kBadRequest,
-                       "missing 'path'");
-    }
-    std::string error;
-    bool torn = false;
-    int replayed = 0;
-    const uint64_t session =
-        service_.RecoverSession(path, &error, &torn, &replayed);
-    if (session == 0) {
-      const bool unknown = error.rfind("unknown dataset", 0) == 0;
-      return MakeError(&request, op,
-                       unknown ? error_code::kNotFound
-                               : error_code::kBadRequest,
-                       error);
-    }
-    JsonWriter json(false);
-    BeginOk(json, request, op, request_id);
-    json.Key("session");
-    json.Int(static_cast<long long>(session));
-    json.Key("n");
-    json.Int(service_.SessionLength(session));
-    json.Key("replayed");
-    json.Int(replayed);
-    json.Key("torn");
-    json.Bool(torn);
-    const std::string log_path = service_.SessionLogPath(session);
-    if (!log_path.empty()) {
-      json.Key("log");
-      json.String(log_path);
-    }
-    json.EndObject();
-    return json.str();
-  }
-
-  if (op == "healthz") {
-    // Liveness probe. Reads ONLY the watchdog's own mutex and the wall
-    // clock — never the registry, cache, admission, or engine mutexes —
-    // so it answers even while every pool worker is wedged inside a
-    // compute (the transport dispatches it inline, ahead of the barrier
-    // drain, for the same reason).
-    QueryWatchdog::Status status;
-    if (introspection_.watchdog != nullptr) {
-      status = introspection_.watchdog->Scan();
-    }
-    JsonWriter json(false);
-    BeginOk(json, request, op, request_id);
-    json.Key("status");
-    json.String(status.stuck.empty() ? "ok" : "stuck");
-    json.Key("uptime_seconds");
-    json.Number(UptimeSeconds(introspection_.start_wall_ms));
-    json.Key("inflight");  // includes this healthz request itself
-    json.Int(static_cast<long long>(status.inflight));
-    json.Key("stuck");
-    json.Int(static_cast<long long>(status.stuck.size()));
-    if (!status.stuck.empty()) {
-      json.Key("stuck_queries");
-      json.BeginArray();
-      for (const QueryWatchdog::StuckQuery& query : status.stuck) {
-        json.BeginObject();
-        json.Key("request_id");
-        json.Int(static_cast<long long>(query.request_id));
-        json.Key("op");
-        json.String(query.op);
-        json.Key("age_ms");
-        json.Number(query.age_ms);
-        json.EndObject();
-      }
-      json.EndArray();
-    }
-    json.EndObject();
-    return json.str();
-  }
-
-  if (op == "state") {
-    // Operator introspection: everything an on-call wants in one shot —
-    // build identity, datasets with content fingerprints, live sessions,
-    // admission occupancy vs limits, cache bytes, watchdog state. Unlike
-    // healthz this DOES take service-wide mutexes (briefly), so it runs
-    // as a normal barrier op.
-    const ServiceStats stats = service_.Stats();
-    QueryWatchdog::Status watchdog_status;
-    double stuck_after_ms = 0.0;
-    if (introspection_.watchdog != nullptr) {
-      watchdog_status = introspection_.watchdog->Scan();
-      stuck_after_ms = introspection_.watchdog->stuck_after_ms();
-    }
-    JsonWriter json(false);
-    BeginOk(json, request, op, request_id);
-    json.Key("uptime_seconds");
-    json.Number(UptimeSeconds(introspection_.start_wall_ms));
-    EmitBuildInfo(json, introspection_.pool_size);
-    json.Key("datasets");
-    json.BeginArray();
-    for (const DatasetInfo& info : service_.registry().List()) {
-      json.BeginObject();
-      json.Key("name");
-      json.String(info.name);
-      json.Key("source");
-      json.String(info.source);
-      json.Key("rows");
-      json.Int(static_cast<long long>(info.rows));
-      json.Key("time_buckets");
-      json.Int(static_cast<long long>(info.time_buckets));
-      json.Key("fingerprint");
-      json.String(StrFormat(
-          "%016llx", static_cast<unsigned long long>(info.fingerprint)));
-      json.Key("hot_engines");
-      json.Int(static_cast<long long>(info.hot_engines));
-      json.EndObject();
-    }
-    json.EndArray();
-    json.Key("open_sessions");
-    json.Int(static_cast<long long>(stats.open_sessions));
-    json.Key("tenants");
-    json.Int(static_cast<long long>(stats.tenants));
-    json.Key("tenant_bytes");
-    json.BeginObject();
-    for (const auto& [tenant, bytes] : stats.tenant_bytes) {
-      json.Key(tenant);
-      json.Int(static_cast<long long>(bytes));
-    }
-    json.EndObject();
-    json.Key("admission");
-    json.BeginObject();
-    json.Key("active");
-    json.Int(static_cast<long long>(stats.admission.active));
-    json.Key("queued");
-    json.Int(static_cast<long long>(stats.admission.queued));
-    json.Key("peak_active");
-    json.Int(static_cast<long long>(stats.admission.peak_active));
-    json.Key("peak_queued");
-    json.Int(static_cast<long long>(stats.admission.peak_queued));
-    json.Key("max_concurrent");
-    json.Int(service_.admission().max_concurrent());
-    json.Key("queue_depth");
-    json.Int(service_.admission().queue_depth());
-    json.EndObject();
-    json.Key("cache");
-    json.BeginObject();
-    json.Key("entries");
-    json.Int(static_cast<long long>(stats.cache.entries));
-    json.Key("bytes_used");
-    json.Int(static_cast<long long>(stats.cache.bytes_used));
-    json.Key("capacity_bytes");
-    json.Int(static_cast<long long>(stats.cache.capacity_bytes));
-    json.EndObject();
-    json.Key("watchdog");
-    json.BeginObject();
-    json.Key("inflight");
-    json.Int(static_cast<long long>(watchdog_status.inflight));
-    json.Key("stuck");
-    json.Int(static_cast<long long>(watchdog_status.stuck.size()));
-    json.Key("stuck_after_ms");
-    json.Number(stuck_after_ms);
-    json.EndObject();
-    json.EndObject();
-    return json.str();
-  }
-
-  if (op == "stats") {
-    // Counter and gauge fields are sourced from the process-wide metrics
-    // registry — the same series the `metrics` op exports — so the two
-    // views can never disagree. Structural fields (datasets, sessions,
-    // tenants, capacity) stay with the service. Field names and order
-    // are byte-compatible with the pre-registry wire shape (asserted by
-    // tests/server_smoke_test.sh).
-    const ServiceStats stats = service_.Stats();
-    const MetricsSnapshot snapshot = MetricRegistry::Global().Snapshot();
-    const auto counter = [&snapshot](const char* name) -> long long {
-      const uint64_t* value = snapshot.FindCounter(name);
-      return value ? static_cast<long long>(*value) : 0;
-    };
-    const auto gauge = [&snapshot](const char* name) -> long long {
-      const int64_t* value = snapshot.FindGauge(name);
-      return value ? static_cast<long long>(*value) : 0;
-    };
-    JsonWriter json(false);
-    BeginOk(json, request, op, request_id);
-    json.Key("datasets");
-    json.Int(static_cast<long long>(stats.datasets));
-    json.Key("hot_engines");
-    json.Int(static_cast<long long>(stats.hot_engines));
-    json.Key("open_sessions");
-    json.Int(static_cast<long long>(stats.open_sessions));
-    json.Key("tenants");
-    json.Int(static_cast<long long>(stats.tenants));
-    json.Key("tenant_bytes");
-    json.BeginObject();
-    for (const auto& [tenant, bytes] : stats.tenant_bytes) {
-      json.Key(tenant);
-      json.Int(static_cast<long long>(bytes));
-    }
-    json.EndObject();
-    json.Key("admission");
-    json.BeginObject();
-    json.Key("admitted");
-    json.Int(counter("admission.admitted"));
-    json.Key("coalesced");
-    json.Int(counter("admission.coalesced"));
-    json.Key("shed_overload");
-    json.Int(counter("admission.shed_overload"));
-    json.Key("shed_tenant");
-    json.Int(counter("admission.shed_tenant"));
-    json.Key("backlog_shed");
-    json.Int(counter("admission.backlog_shed"));
-    json.Key("active");
-    json.Int(gauge("admission.active"));
-    json.Key("queued");
-    json.Int(gauge("admission.queued"));
-    json.Key("peak_active");
-    json.Int(gauge("admission.peak_active"));
-    json.Key("peak_queued");
-    json.Int(gauge("admission.peak_queued"));
-    json.EndObject();
-    json.Key("cache");
-    json.BeginObject();
-    json.Key("hits");
-    json.Int(counter("cache.hits"));
-    json.Key("misses");
-    json.Int(counter("cache.misses"));
-    json.Key("coalesced");
-    json.Int(counter("cache.coalesced"));
-    json.Key("evictions");
-    json.Int(counter("cache.evictions"));
-    json.Key("budget_evictions");
-    json.Int(counter("cache.budget_evictions"));
-    json.Key("invalidations");
-    json.Int(counter("cache.invalidations"));
-    json.Key("entries");
-    json.Int(gauge("cache.entries"));
-    json.Key("bytes_used");
-    json.Int(gauge("cache.bytes_used"));
-    json.Key("capacity_bytes");
-    json.Int(static_cast<long long>(stats.cache.capacity_bytes));
-    json.EndObject();
-    json.EndObject();
-    return json.str();
-  }
-
-  if (op == "metrics") {
-    // Scrape endpoint: the registry's full contents, as structured JSON
-    // (default) or as a Prometheus text exposition embedded in the
-    // envelope's "text" field (docs/OBSERVABILITY.md has the scrape
-    // recipe).
-    const std::string format = request.GetString("format", "json");
-    if (format != "json" && format != "prometheus") {
-      return MakeError(&request, op, error_code::kBadRequest,
-                       "unknown format: " + format +
-                           " (expected 'json' or 'prometheus')");
-    }
-    const MetricsSnapshot snapshot = MetricRegistry::Global().Snapshot();
-    JsonWriter json(false);
-    BeginOk(json, request, op, request_id);
-    json.Key("uptime_seconds");
-    json.Number(UptimeSeconds(introspection_.start_wall_ms));
-    EmitBuildInfo(json, introspection_.pool_size);
-    if (format == "prometheus") {
-      json.Key("format");
-      json.String("prometheus");
-      json.Key("text");
-      json.String(RenderPrometheusText(snapshot));
-    } else {
-      json.Key("metrics");
-      json.Raw(RenderMetricsJson(snapshot));
-    }
-    json.EndObject();
-    return json.str();
-  }
-
-  if (op == "metrics_history") {
-    // Windowed time-series view of the registry (docs/OBSERVABILITY.md,
-    // "Self-observation"). Optional fields: "format" ("json"|"csv"),
-    // "last_n" (trailing ticks only), "prefix" (series-name filter),
-    // "sample" (true = take one synchronous tick first — how tests and
-    // the soak harness get deterministic ticks without a live sampler),
-    // and "export_as" (materialize the window as a registered dataset so
-    // explain can run over the server's own telemetry).
-    MetricsHistory* history = introspection_.history;
-    if (history == nullptr) {
-      return MakeError(&request, op, error_code::kBadRequest,
-                       "metrics history is not enabled on this server");
-    }
-    const std::string format = request.GetString("format", "json");
-    if (format != "json" && format != "csv") {
-      return MakeError(&request, op, error_code::kBadRequest,
-                       "unknown format: " + format +
-                           " (expected 'json' or 'csv')");
-    }
-    const int last_n_raw = request.GetInt("last_n", 0);
-    if (last_n_raw < 0) {
-      return MakeError(&request, op, error_code::kBadRequest,
-                       "last_n must be >= 0");
-    }
-    const size_t last_n = static_cast<size_t>(last_n_raw);
-    const std::string prefix = request.GetString("prefix");
-    if (request.GetBool("sample", false)) history->SampleNow();
-    const std::string export_as = request.GetString("export_as");
-    if (!export_as.empty()) {
-      std::shared_ptr<const Table> table =
-          history->ExportAsTable(last_n, prefix);
-      if (table == nullptr) {
-        return MakeError(&request, op, error_code::kBadRequest,
-                         "metrics history has fewer than two ticks; "
-                         "nothing to export");
-      }
-      std::string error;
-      DatasetInfo info;
-      if (!service_.registry().RegisterTable(export_as, std::move(table),
-                                             "<metrics_history>", &error,
-                                             &info)) {
-        return MakeError(&request, op, error_code::kBadRequest, error);
-      }
-      JsonWriter json(false);
-      BeginOk(json, request, op, request_id);
-      json.Key("dataset");
-      json.String(info.name);
-      json.Key("rows");
-      json.Int(static_cast<long long>(info.rows));
-      json.Key("time_buckets");
-      json.Int(static_cast<long long>(info.time_buckets));
-      json.EndObject();
-      return json.str();
-    }
-    const HistoryWindow window = history->Window(last_n, prefix);
-    JsonWriter json(false);
-    BeginOk(json, request, op, request_id);
-    if (format == "csv") {
-      json.Key("format");
-      json.String("csv");
-      json.Key("text");
-      json.String(RenderHistoryCsv(window));
-    } else {
-      json.Key("history");
-      json.Raw(RenderHistoryJson(window));
-    }
-    json.EndObject();
-    return json.str();
-  }
-
-  if (op == "shutdown") {
-    // The transport watches for this op and stops reading afterwards.
-    JsonWriter json(false);
-    BeginOk(json, request, op, request_id);
-    json.EndObject();
-    return json.str();
-  }
-
-  return MakeError(&request, op, error_code::kUnknownOp,
-                   op.empty() ? "missing 'op'" : "unknown op: " + op);
+  json.EndObject();
+  *ok = true;
+  return json.str();
 }
 
 }  // namespace tsexplain

@@ -1,12 +1,13 @@
 // NDJSON protocol: one JSON request object per line in, one JSON response
 // object per line out (docs/SERVICE.md documents every op and schema).
 //
-// The handler is a pure request->response function over an ExplainService
-// and is therefore safe to call from many threads at once; the transport
-// (tools/tsexplain_serve.cc) decides which ops run inline (mutations, to
-// preserve submission order) and which fan out to the executor pool
-// (reads). Responses echo the request's "id" so clients can match
-// out-of-order completions.
+// Every op is one row of the op table in protocol.cc: its name, its
+// dispatch class (OpDispatch) and its handler. Handlers are pure
+// request->response functions over an ExplainService and are therefore
+// safe to call from many threads at once; the transport
+// (tools/tsexplain_serve.cc) asks DispatchOf(op) where each request runs.
+// Responses echo the request's "id" so clients can match out-of-order
+// completions.
 
 #ifndef TSEXPLAIN_SERVICE_PROTOCOL_H_
 #define TSEXPLAIN_SERVICE_PROTOCOL_H_
@@ -14,6 +15,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/common/json.h"
 #include "src/service/explain_service.h"
@@ -23,6 +25,25 @@ namespace tsexplain {
 
 class MetricsHistory;
 class QueryWatchdog;
+
+/// Where the transport runs an op (docs/SERVICE.md, "Dispatch classes").
+enum class OpDispatch {
+  /// On the reader thread at once: no drain, no pool, no backlog slot.
+  /// Liveness must answer while every worker is wedged, so the one such
+  /// op (healthz) touches no engine, cache or registry mutex.
+  kInline,
+  /// On the reader thread once every earlier dispatched read finished:
+  /// mutations and counter reads see a settled state, in submission
+  /// order. Unknown and missing ops are barriers too (answered inline
+  /// with unknown_op).
+  kBarrier,
+  /// Fanned out to the shared thread pool.
+  kPooled,
+  /// Fanned out to the pool behind a transport backlog slot. These ops
+  /// pass admission control; once max_inflight + queue_depth of them are
+  /// parked the transport sheds the rest with `overloaded`.
+  kAdmitted,
+};
 
 class ProtocolHandler {
  public:
@@ -71,36 +92,21 @@ class ProtocolHandler {
   /// service-level shed.
   std::string MakeOverloaded(const JsonValue& request) const;
 
-  /// Ops the transport must run inline as ordering barriers (after
-  /// draining previously dispatched reads) instead of fanning out to the
-  /// pool: every state mutation (register, sessions, shutdown) plus
-  /// "stats", whose counters are only meaningful once earlier requests
-  /// have settled. Unknown ops return true — an unrecognized request is
-  /// answered inline, cheaply. "healthz" is the one cheap read that is
-  /// NOT a barrier: liveness must answer immediately, so the transport
-  /// handles it inline without draining (and this handler never touches
-  /// an engine or cache mutex for it).
-  static bool IsBarrierOp(const std::string& op);
+  /// Dispatch class of `op` in the op table; kBarrier for unknown and
+  /// empty ops.
+  static OpDispatch DispatchOf(const std::string& op);
+
+  /// Every op name in the op table, in table order.
+  static std::vector<std::string> OpNames();
 
   /// Extracts "op" from a request object ("" when absent).
   static std::string OpOf(const JsonValue& request);
 
-  /// Ops expensive enough to fall under admission control; the transport
-  /// bounds its dispatch backlog for exactly these (cheap reads and
-  /// barrier ops are never shed).
-  static bool IsExpensiveOp(const std::string& op);
-
  private:
-  std::string HandleInternal(const JsonValue& request, uint64_t request_id);
-
-  /// Writes a slow-query record when the slow-query log is armed and
-  /// `response.latency_ms` reached the threshold. `dataset` is empty for
-  /// session queries; `session` is 0 for dataset queries. `request_id`
-  /// joins the record with the access log and the response's trace.
-  void MaybeLogSlowQuery(const std::string& op, uint64_t request_id,
-                         const std::string& dataset, uint64_t session,
-                         const std::string& tenant,
-                         const ExplainResponse& response);
+  /// Runs `request` through its op-table row and renders the response
+  /// envelope; `*ok` reports whether it is an ok:true response.
+  std::string Respond(const JsonValue& request, uint64_t request_id,
+                      bool* ok);
 
   ExplainService& service_;
   LogOptions log_;

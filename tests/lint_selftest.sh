@@ -157,6 +157,25 @@ else
   echo "ok: forked_engine flags only the DP construction"
 fi
 
+# R9: the op table and docs/SERVICE.md's Ops section disagree both ways.
+drift_root="${TMPDIR_ROOT}/op_doc_drift"
+mkdir -p "${drift_root}/src/service" "${drift_root}/tools" \
+         "${drift_root}/bench" "${drift_root}/docs"
+cp "${FIXTURES}/op_table_drift.cc" "${drift_root}/src/service/protocol.cc"
+cp "${FIXTURES}/op_doc_drift.md" "${drift_root}/docs/SERVICE.md"
+run_linter "${drift_root}"
+if [ "${CODE}" -eq 0 ]; then
+  fail "op_doc_drift: linter exited 0 on a drifted op table"
+elif [ "$(printf '%s\n' "${OUT}" | grep -c "op-doc-drift")" -ne 2 ]; then
+  fail "op_doc_drift: expected exactly two R9 violations: ${OUT}"
+elif ! printf '%s' "${OUT}" | grep -q "protocol.cc:.*'beta'"; then
+  fail "op_doc_drift: undocumented table op not flagged: ${OUT}"
+elif ! printf '%s' "${OUT}" | grep -q "SERVICE.md:.*\*\*delta\*\*"; then
+  fail "op_doc_drift: documented non-op not flagged: ${OUT}"
+else
+  echo "ok: op_doc_drift flags both directions"
+fi
+
 # Clean tree: annotated + allow-listed mutexes, unique slugs — exit 0.
 clean_root="${TMPDIR_ROOT}/clean"
 mkdir -p "${clean_root}/src/service" "${clean_root}/tools" \

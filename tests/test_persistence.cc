@@ -504,11 +504,6 @@ TEST(ProtocolPersistence, SaveLoadRecoverOpsRoundTrip) {
   EXPECT_NE(response.find("\"session\":2"), std::string::npos) << response;
   EXPECT_NE(response.find("\"torn\":false"), std::string::npos) << response;
 
-  // Persistence ops are barriers (they mutate / snapshot global state).
-  EXPECT_TRUE(ProtocolHandler::IsBarrierOp("save_cache"));
-  EXPECT_TRUE(ProtocolHandler::IsBarrierOp("load_cache"));
-  EXPECT_TRUE(ProtocolHandler::IsBarrierOp("recover_session"));
-
   // stats carries the tenant_bytes object.
   response = handle("{\"op\":\"stats\",\"id\":8}");
   EXPECT_NE(response.find("\"tenant_bytes\":{"), std::string::npos)

@@ -1,9 +1,10 @@
-// Unit tests for candidate enumeration + the drill-down lattice.
+// Unit tests for candidate enumeration + the parent table (and the
+// drill-down lattice derived from it).
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -65,17 +66,45 @@ TEST(Registry, ExplainBySubsetOfDimensions) {
   EXPECT_EQ(reg.num_explanations(), 2u);  // only B's two values
 }
 
+// The drill-down lattice as Cascading Analysts sees it, derived here from
+// the parent table: for the root and for each cell, the cells that add one
+// predicate, grouped by the attribute of that predicate, in id order.
+using ChildGroups = std::map<AttrId, std::vector<ExplId>>;
+struct DrillDown {
+  ChildGroups root;
+  std::vector<ChildGroups> children;  // [id]
+};
+
+DrillDown DeriveDrillDown(const ExplanationRegistry& reg) {
+  DrillDown out;
+  out.children.resize(reg.num_explanations());
+  for (ExplId id = 0; id < static_cast<ExplId>(reg.num_explanations());
+       ++id) {
+    const Explanation& cell = reg.explanation(id);
+    if (cell.order() == 1) {
+      out.root[cell.predicates()[0].attr].push_back(id);
+      continue;
+    }
+    const auto parents = reg.parents(id);
+    for (size_t i = 0; i < parents.size(); ++i) {
+      out.children[static_cast<size_t>(parents[i])]
+                  [cell.predicates()[i].attr]
+                      .push_back(id);
+    }
+  }
+  return out;
+}
+
 TEST(Registry, RootChildrenGroupedByAttribute) {
   const Table t = MakeDenseTable();
   const auto reg = ExplanationRegistry::Build(t, {0, 1}, 2);
-  const auto& groups = reg.root_children();
-  ASSERT_EQ(groups.size(), 2u);
-  EXPECT_EQ(groups[0].attr, 0);
-  EXPECT_EQ(groups[1].attr, 1);
-  EXPECT_EQ(groups[0].children.size(), 2u);
-  EXPECT_EQ(groups[1].children.size(), 2u);
-  for (const ChildGroup& g : groups) {
-    for (ExplId child : g.children) {
+  const ChildGroups root = DeriveDrillDown(reg).root;
+  ASSERT_EQ(root.size(), 2u);
+  EXPECT_EQ(root.begin()->first, 0);
+  EXPECT_EQ(root.rbegin()->first, 1);
+  for (const auto& [attr, children] : root) {
+    EXPECT_EQ(children.size(), 2u);
+    for (ExplId child : children) {
       EXPECT_EQ(reg.explanation(child).order(), 1);
     }
   }
@@ -84,17 +113,19 @@ TEST(Registry, RootChildrenGroupedByAttribute) {
 TEST(Registry, ChildExtendsParentByOnePredicate) {
   const Table t = MakeDenseTable();
   const auto reg = ExplanationRegistry::Build(t, {0, 1}, 2);
+  const DrillDown lattice = DeriveDrillDown(reg);
   for (ExplId id = 0; id < static_cast<ExplId>(reg.num_explanations());
        ++id) {
     const Explanation& parent = reg.explanation(id);
-    for (const ChildGroup& group : reg.children(id)) {
+    for (const auto& [attr, children] :
+         lattice.children[static_cast<size_t>(id)]) {
       ValueId unused;
-      EXPECT_FALSE(parent.TryGetValue(group.attr, &unused))
+      EXPECT_FALSE(parent.TryGetValue(attr, &unused))
           << "drill-down attr must be unconstrained in the parent";
-      for (ExplId child_id : group.children) {
+      for (ExplId child_id : children) {
         const Explanation& child = reg.explanation(child_id);
         EXPECT_EQ(child.order(), parent.order() + 1);
-        EXPECT_TRUE(child.WithoutAttr(group.attr) == parent);
+        EXPECT_TRUE(child.WithoutAttr(attr) == parent);
       }
     }
   }
@@ -103,17 +134,19 @@ TEST(Registry, ChildExtendsParentByOnePredicate) {
 TEST(Registry, EveryNonRootCellReachableFromRoot) {
   const Table t = MakeDenseTable();
   const auto reg = ExplanationRegistry::Build(t, {0, 1}, 2);
+  const DrillDown lattice = DeriveDrillDown(reg);
   std::set<ExplId> reachable;
   std::vector<ExplId> stack;
-  for (const ChildGroup& g : reg.root_children()) {
-    for (ExplId c : g.children) stack.push_back(c);
+  for (const auto& [attr, children] : lattice.root) {
+    for (ExplId c : children) stack.push_back(c);
   }
   while (!stack.empty()) {
     const ExplId id = stack.back();
     stack.pop_back();
     if (!reachable.insert(id).second) continue;
-    for (const ChildGroup& g : reg.children(id)) {
-      for (ExplId c : g.children) stack.push_back(c);
+    for (const auto& [attr, children] :
+         lattice.children[static_cast<size_t>(id)]) {
+      for (ExplId c : children) stack.push_back(c);
     }
   }
   EXPECT_EQ(reachable.size(), reg.num_explanations());
@@ -122,10 +155,11 @@ TEST(Registry, EveryNonRootCellReachableFromRoot) {
 TEST(Registry, MaxOrderCellsAreLeaves) {
   const Table t = MakeDenseTable();
   const auto reg = ExplanationRegistry::Build(t, {0, 1}, 2);
+  const DrillDown lattice = DeriveDrillDown(reg);
   for (ExplId id = 0; id < static_cast<ExplId>(reg.num_explanations());
        ++id) {
     if (reg.explanation(id).order() == 2) {
-      EXPECT_TRUE(reg.children(id).empty());
+      EXPECT_TRUE(lattice.children[static_cast<size_t>(id)].empty());
     }
   }
 }
@@ -153,12 +187,12 @@ TEST(Registry, ThreeAttributeTripleEnumeration) {
 // Reference registry: the original per-row enumeration. Pass 1 walks every
 // (row, subset) pair in row-major order and numbers each cell at its first
 // occurrence; pass 2 links each cell to the parents obtained by dropping
-// one predicate. Build must reproduce its ids and lattice exactly.
+// one predicate, in predicate order. Build must reproduce its ids and
+// parents exactly.
 struct ReferenceRegistry {
   std::vector<Explanation> cells;
   std::unordered_map<Explanation, ExplId, ExplanationHasher> index;
-  std::vector<ChildGroup> root_children;
-  std::vector<std::vector<ChildGroup>> children;
+  std::vector<std::vector<ExplId>> parents;
 };
 
 std::vector<std::vector<size_t>> ReferenceSubsets(size_t num_attrs,
@@ -176,20 +210,6 @@ std::vector<std::vector<size_t>> ReferenceSubsets(size_t num_attrs,
   };
   recurse(recurse, 0);
   return subsets;
-}
-
-std::vector<ChildGroup> MaterializeGroups(
-    std::unordered_map<AttrId, std::vector<ExplId>>& groups) {
-  std::vector<ChildGroup> out;
-  for (auto& [attr, children] : groups) {
-    std::sort(children.begin(), children.end());
-    out.push_back(ChildGroup{attr, std::move(children)});
-  }
-  std::sort(out.begin(), out.end(),
-            [](const ChildGroup& a, const ChildGroup& b) {
-              return a.attr < b.attr;
-            });
-  return out;
 }
 
 ReferenceRegistry BuildReference(const Table& table,
@@ -211,33 +231,14 @@ ReferenceRegistry BuildReference(const Table& table,
       if (inserted) ref.cells.push_back(it->first);
     }
   }
-  std::vector<std::unordered_map<AttrId, std::vector<ExplId>>> tmp(
-      ref.cells.size());
-  std::unordered_map<AttrId, std::vector<ExplId>> root_tmp;
-  for (ExplId id = 0; id < static_cast<ExplId>(ref.cells.size()); ++id) {
-    const Explanation& cell = ref.cells[static_cast<size_t>(id)];
+  for (const Explanation& cell : ref.cells) {
+    std::vector<ExplId>& parents = ref.parents.emplace_back();
+    if (cell.order() == 1) continue;
     for (const Predicate& p : cell.predicates()) {
-      if (cell.order() == 1) {
-        root_tmp[p.attr].push_back(id);
-      } else {
-        const ExplId parent = ref.index.at(cell.WithoutAttr(p.attr));
-        tmp[static_cast<size_t>(parent)][p.attr].push_back(id);
-      }
+      parents.push_back(ref.index.at(cell.WithoutAttr(p.attr)));
     }
   }
-  ref.root_children = MaterializeGroups(root_tmp);
-  for (auto& groups : tmp) ref.children.push_back(MaterializeGroups(groups));
   return ref;
-}
-
-void ExpectSameGroups(const std::vector<ChildGroup>& got,
-                      const std::vector<ChildGroup>& want,
-                      const std::string& where) {
-  ASSERT_EQ(got.size(), want.size()) << where;
-  for (size_t g = 0; g < got.size(); ++g) {
-    EXPECT_EQ(got[g].attr, want[g].attr) << where;
-    EXPECT_EQ(got[g].children, want[g].children) << where;
-  }
 }
 
 void ExpectMatchesReference(const Table& table,
@@ -250,11 +251,11 @@ void ExpectMatchesReference(const Table& table,
     const Explanation& want = ref.cells[static_cast<size_t>(id)];
     ASSERT_TRUE(reg.explanation(id) == want) << label << " id " << id;
     EXPECT_EQ(reg.Lookup(want), id) << label;
-    ExpectSameGroups(reg.children(id), ref.children[static_cast<size_t>(id)],
-                     label + " children of " + std::to_string(id));
+    const auto parents = reg.parents(id);
+    EXPECT_EQ(std::vector<ExplId>(parents.begin(), parents.end()),
+              ref.parents[static_cast<size_t>(id)])
+        << label << " parents of " << id;
   }
-  ExpectSameGroups(reg.root_children(), ref.root_children,
-                   label + " root");
 }
 
 // Random table over four dimensions whose rows draw from a small pool of

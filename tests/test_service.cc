@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -990,18 +992,58 @@ TEST(ProtocolTest, OverloadAndTenantWireShapes) {
             std::string::npos);
   EXPECT_NE(transport_shed.find("\"retry_after_ms\":"), std::string::npos);
 
-  // Expensive-op classification for the transport's backlog bounding.
-  EXPECT_TRUE(ProtocolHandler::IsExpensiveOp("explain"));
-  EXPECT_TRUE(ProtocolHandler::IsExpensiveOp("explain_session"));
-  EXPECT_FALSE(ProtocolHandler::IsExpensiveOp("recommend"));
-  EXPECT_FALSE(ProtocolHandler::IsExpensiveOp("stats"));
-
   // Stats expose the admission + tenant counters.
   const std::string stats = handle(R"({"op":"stats","id":3})");
   EXPECT_NE(stats.find("\"admission\":{"), std::string::npos) << stats;
   EXPECT_NE(stats.find("\"shed_overload\":1"), std::string::npos) << stats;
   EXPECT_NE(stats.find("\"tenants\":1"), std::string::npos) << stats;
   EXPECT_NE(stats.find("\"budget_evictions\":"), std::string::npos) << stats;
+}
+
+// Pins the transport's dispatch class of every op in the protocol table,
+// and that the table names exactly these ops: adding, removing or
+// reclassifying an op must update this list.
+TEST(ProtocolTest, DispatchClassOfEveryOp) {
+  const std::map<std::string, OpDispatch> want = {
+      {"register", OpDispatch::kBarrier},
+      {"list_datasets", OpDispatch::kPooled},
+      {"drop_dataset", OpDispatch::kBarrier},
+      {"explain", OpDispatch::kAdmitted},
+      {"recommend", OpDispatch::kPooled},
+      {"open_session", OpDispatch::kBarrier},
+      {"append", OpDispatch::kBarrier},
+      {"explain_session", OpDispatch::kAdmitted},
+      {"close_session", OpDispatch::kBarrier},
+      {"save_cache", OpDispatch::kBarrier},
+      {"load_cache", OpDispatch::kBarrier},
+      {"recover_session", OpDispatch::kBarrier},
+      {"healthz", OpDispatch::kInline},
+      {"state", OpDispatch::kBarrier},
+      {"stats", OpDispatch::kBarrier},
+      {"metrics", OpDispatch::kBarrier},
+      {"metrics_history", OpDispatch::kBarrier},
+      {"shutdown", OpDispatch::kBarrier},
+      // Not in the table: answered inline with unknown_op.
+      {"bogus_op", OpDispatch::kBarrier},
+      {"", OpDispatch::kBarrier},
+  };
+  for (const auto& [op, dispatch] : want) {
+    EXPECT_EQ(ProtocolHandler::DispatchOf(op), dispatch) << "op " << op;
+  }
+
+  ExplainService service;
+  ProtocolHandler handler(service);
+  std::set<std::string> table_ops;
+  for (const std::string& op : ProtocolHandler::OpNames()) {
+    EXPECT_TRUE(table_ops.insert(op).second) << "duplicate row " << op;
+    EXPECT_EQ(want.count(op), 1u) << "op " << op << " is not pinned here";
+    // Every row reaches a handler (a bare request may fail validation,
+    // but never as an unknown op).
+    const std::string response = handler.Handle(JsonValue::MakeObject(
+        {{"op", JsonValue::MakeString(op)}}));
+    EXPECT_EQ(response.find("unknown_op"), std::string::npos) << response;
+  }
+  EXPECT_EQ(table_ops.size() + 2, want.size());
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/datagen/covid_sim.h"
@@ -114,7 +116,33 @@ TEST(SnapshotDiffDeathTest, UnknownLabelRejected) {
 // bounds. The enumerator recursively mirrors the cascade semantics:
 // at a cell, either select it (if not root), or pick one dimension and
 // recurse into each child with a quota split.
-double BruteForceCascade(const ExplanationRegistry& reg,
+//
+// The drill-down children come from the registry's parent table, derived
+// here rather than through the solver's own lattice: [0] is the root,
+// [id + 1] the cell `id`; each maps a drill-down attribute to the cells
+// that add one predicate on it.
+using ChildGroups = std::map<AttrId, std::vector<ExplId>>;
+
+std::vector<ChildGroups> DrillDownChildren(const ExplanationRegistry& reg) {
+  std::vector<ChildGroups> lattice(reg.num_explanations() + 1);
+  for (ExplId id = 0; id < static_cast<ExplId>(reg.num_explanations());
+       ++id) {
+    const Explanation& cell = reg.explanation(id);
+    if (cell.order() == 1) {
+      lattice[0][cell.predicates()[0].attr].push_back(id);
+      continue;
+    }
+    const auto parents = reg.parents(id);
+    for (size_t i = 0; i < parents.size(); ++i) {
+      lattice[static_cast<size_t>(parents[i]) + 1]
+             [cell.predicates()[i].attr]
+                 .push_back(id);
+    }
+  }
+  return lattice;
+}
+
+double BruteForceCascade(const std::vector<ChildGroups>& lattice,
                          const std::vector<double>& gamma, ExplId cell,
                          int quota) {
   if (quota == 0) return 0.0;
@@ -122,17 +150,17 @@ double BruteForceCascade(const ExplanationRegistry& reg,
   if (cell != kInvalidExplId) {
     best = std::max(best, gamma[static_cast<size_t>(cell)]);
   }
-  const std::vector<ChildGroup>& groups =
-      cell == kInvalidExplId ? reg.root_children() : reg.children(cell);
-  for (const ChildGroup& group : groups) {
+  const ChildGroups& groups =
+      lattice[cell == kInvalidExplId ? 0 : static_cast<size_t>(cell) + 1];
+  for (const auto& [attr, children] : groups) {
     // Exhaustive quota distribution over this dimension's children.
     std::function<double(size_t, int)> distribute =
         [&](size_t idx, int remaining) -> double {
-      if (idx == group.children.size() || remaining == 0) return 0.0;
+      if (idx == children.size() || remaining == 0) return 0.0;
       double value = distribute(idx + 1, remaining);  // give child 0
       for (int q = 1; q <= remaining; ++q) {
         value = std::max(
-            value, BruteForceCascade(reg, gamma, group.children[idx], q) +
+            value, BruteForceCascade(lattice, gamma, children[idx], q) +
                        distribute(idx + 1, remaining - q));
       }
       return value;
@@ -152,6 +180,7 @@ TEST(CascadingAnalystsDifferential, MatchesExhaustiveCascadeSearch) {
     }
   }
   const auto reg = ExplanationRegistry::Build(table, {0, 1}, 2);
+  const std::vector<ChildGroups> lattice = DrillDownChildren(reg);
   CascadingAnalysts solver(reg);
   Rng rng(29);
   for (int trial = 0; trial < 60; ++trial) {
@@ -159,7 +188,7 @@ TEST(CascadingAnalystsDifferential, MatchesExhaustiveCascadeSearch) {
     for (auto& g : gamma) g = rng.Uniform(0.0, 10.0);
     for (int m = 1; m <= 3; ++m) {
       const double exhaustive =
-          BruteForceCascade(reg, gamma, kInvalidExplId, m);
+          BruteForceCascade(lattice, gamma, kInvalidExplId, m);
       const TopExplanations got = solver.TopM(gamma, m);
       EXPECT_NEAR(got.TotalScore(), exhaustive, 1e-9)
           << "trial " << trial << " m " << m;
@@ -181,13 +210,14 @@ TEST(CascadingAnalystsDifferential, ThreeAttributeInstance) {
     }
   }
   const auto reg = ExplanationRegistry::Build(table, {0, 1, 2}, 3);
+  const std::vector<ChildGroups> lattice = DrillDownChildren(reg);
   CascadingAnalysts solver(reg);
   Rng rng(31);
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<double> gamma(reg.num_explanations());
     for (auto& g : gamma) g = rng.Uniform(0.0, 10.0);
     const double exhaustive =
-        BruteForceCascade(reg, gamma, kInvalidExplId, 3);
+        BruteForceCascade(lattice, gamma, kInvalidExplId, 3);
     EXPECT_NEAR(solver.TopM(gamma, 3).TotalScore(), exhaustive, 1e-9)
         << "trial " << trial;
   }

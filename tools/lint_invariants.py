@@ -76,6 +76,13 @@ R8   forked-engine: under src/pipeline/ and src/service/, only
      engine build and one segmentation body, so their answers cannot
      drift apart. Holding, passing or configuring those parts is fine.
 
+R9   op-doc-drift: every row of the protocol's op table in
+     src/service/protocol.cc (`{"name", OpDispatch::kX, Handler}`) has a
+     `**name**` entry in the "### Ops" section of docs/SERVICE.md, and
+     every such entry names an op in the table. The table is the one
+     place an op is declared; its documentation cannot silently lag it
+     or outlive it. Skipped when the tree has neither file.
+
 Exit status: 0 when clean, 1 with one `RULE: file:line: message` line per
 violation otherwise.
 
@@ -672,6 +679,55 @@ def check_forked_engine(root, violations):
                          " ".join(m.group(0).split()), ENGINE_OWNER)))
 
 
+PROTOCOL_SOURCE = "src/service/protocol.cc"
+SERVICE_DOC = "docs/SERVICE.md"
+# Matched against stripped code up to a row's opening quote; the op name
+# is re-read from the raw text there (as in R4/R7).
+OP_ROW = re.compile(r'\{\s*"(?=[^"\n]*"\s*,\s*OpDispatch::k\w+)')
+DOC_OP_ENTRY = re.compile(r"\*\*([a-z_]+)\*\*")
+
+
+def check_op_doc_drift(root, violations):
+    """R9: the op table and docs/SERVICE.md's Ops section list the same
+    ops."""
+    source = os.path.join(root, PROTOCOL_SOURCE)
+    doc = os.path.join(root, SERVICE_DOC)
+    if not os.path.exists(source) and not os.path.exists(doc):
+        return
+    table = {}
+    if os.path.exists(source):
+        with open(source, encoding="utf-8") as f:
+            raw = f.read()
+        for name, lineno in _literal_names(
+                raw, strip_comments_and_strings(raw), OP_ROW):
+            table.setdefault(name, lineno)
+    documented = {}
+    if os.path.exists(doc):
+        in_ops = in_fence = False
+        with open(doc, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, 1):
+                if line.startswith("```"):
+                    in_fence = not in_fence
+                elif line.startswith("#") and not in_fence:
+                    in_ops = line.strip() == "### Ops"
+                    continue
+                if in_ops:
+                    for name in DOC_OP_ENTRY.findall(line):
+                        documented.setdefault(name, lineno)
+    for name, lineno in sorted(table.items(), key=lambda kv: kv[1]):
+        if name not in documented:
+            violations.append(
+                ("op-doc-drift", PROTOCOL_SOURCE, lineno,
+                 "op '%s' has no **%s** entry in the Ops section of %s" % (
+                     name, name, SERVICE_DOC)))
+    for name, lineno in sorted(documented.items(), key=lambda kv: kv[1]):
+        if name not in table:
+            violations.append(
+                ("op-doc-drift", SERVICE_DOC, lineno,
+                 "**%s** names no op in the op table of %s" % (
+                     name, PROTOCOL_SOURCE)))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--root", default=".",
@@ -689,6 +745,7 @@ def main():
     check_unbounded_decode_allocs(root, violations)
     check_unchecked_bytereader(root, violations)
     check_forked_engine(root, violations)
+    check_op_doc_drift(root, violations)
 
     for rule, rel, lineno, message in violations:
         print("%s: %s:%d: %s" % (rule, rel, lineno, message))

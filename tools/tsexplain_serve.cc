@@ -9,13 +9,14 @@
 //   * TCP mode (--port N): accepts connections on 127.0.0.1:N, one
 //     NDJSON stream per connection, one handler thread per connection.
 //
-// Concurrency model: read ops (explain, explain_session, recommend,
-// list_datasets) fan out to the shared thread pool, so slow cold queries
-// never block cache hits behind them; identical concurrent queries
-// collapse to one computation (single-flight) inside the service. Barrier
-// ops (register, sessions, drop_dataset, stats, shutdown) first wait for
-// every dispatched read, then run inline on the reader thread — mutations
-// and stats therefore observe a settled state in submission order.
+// Concurrency model: each op's dispatch class comes from the protocol's
+// op table (ProtocolHandler::DispatchOf, src/service/protocol.h). Read ops
+// fan out to the shared thread pool, so slow cold queries never block
+// cache hits behind them; identical concurrent queries collapse to one
+// computation (single-flight) inside the service. Barrier ops first wait
+// for every dispatched read, then run inline on the reader thread —
+// mutations and counter reads therefore observe a settled state in
+// submission order. healthz answers inline without waiting.
 //
 // Overload safety: explain/explain_session requests pass the service's
 // AdmissionController (bounded concurrency + bounded queue + per-tenant
@@ -333,7 +334,8 @@ class RequestDispatcher {
       return false;
     }
     const std::string op = ProtocolHandler::OpOf(request);
-    if (op == "healthz") {
+    const OpDispatch dispatch = ProtocolHandler::DispatchOf(op);
+    if (dispatch == OpDispatch::kInline) {
       // Liveness must answer even when every pool worker is wedged in a
       // compute and the dispatch backlog is full: handled right here on
       // the reader thread — no Drain(), no pool submit, no backlog slot.
@@ -342,20 +344,20 @@ class RequestDispatcher {
       writer_.Write(handler_.Handle(request));
       return false;
     }
-    if (serial_ || ProtocolHandler::IsBarrierOp(op)) {
+    if (serial_ || dispatch == OpDispatch::kBarrier) {
       // Barrier: earlier dispatched reads finish first, so mutations and
-      // stats observe a settled state, in submission order.
+      // counter reads observe a settled state, in submission order.
       Drain();
       writer_.Write(handler_.Handle(request));
       return op == "shutdown";
     }
-    // Expensive reads reserve a backlog slot BEFORE touching the pool:
+    // Admitted reads reserve a backlog slot BEFORE touching the pool:
     // at most max_inflight + queue_depth of them exist anywhere
     // (running, queued in admission, or parked in the pool's task
     // queue); the rest are shed right here, on the reader thread, with a
     // structured overloaded response. Queue growth is bounded even when
     // clients flood faster than the pool drains.
-    const bool expensive = ProtocolHandler::IsExpensiveOp(op);
+    const bool expensive = dispatch == OpDispatch::kAdmitted;
     if (expensive && !admission_.TryAcquireBacklogSlot()) {
       writer_.Write(handler_.MakeOverloaded(request));
       return false;
