@@ -8,8 +8,18 @@
 // is large (Covid); O1 (guess-and-verify) dominates when epsilon is large
 // (Liquor); O1+O2 is fastest overall. Absolute numbers differ from the
 // paper's M1 laptop.
+//
+// Besides each preset's total, the self time of every engine layer of
+// the run is emitted as fig15.<dataset>.<preset>.<layer>, e.g.
+// fig15.liquor.o1_o2.diff.ca. Self time is read off the run's span tree
+// (TSExplainResult::spans): a span's duration minus its children's, so a
+// stage excludes the gamma fills and CA counted under it and the layers
+// add up to the total (less the engine's unattributed "other").
 
 #include <cstdio>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "src/common/timer.h"
@@ -39,9 +49,29 @@ void Run() {
                   bench::FormatMs(result.timing.segmentation_ms).c_str(),
                   bench::FormatMs(result.timing.TotalMs()).c_str(),
                   bench::FormatMs(wall).c_str());
-      bench::EmitResult("fig15." + bench::ResultSlug(w.name) + "." +
-                            bench::ResultSlug(bench::PresetName(preset)),
-                        result.timing.TotalMs());
+      const std::string slug = "fig15." + bench::ResultSlug(w.name) + "." +
+                               bench::ResultSlug(bench::PresetName(preset));
+      bench::EmitResult(slug, result.timing.TotalMs());
+      const std::vector<TraceSpan>& spans = result.spans;
+      std::vector<double> self_ms(spans.size());
+      for (size_t i = 0; i < spans.size(); ++i) {
+        self_ms[i] += spans[i].duration_ms;
+        if (spans[i].parent >= 0) {
+          self_ms[static_cast<size_t>(spans[i].parent)] -=
+              spans[i].duration_ms;
+        }
+      }
+      std::map<std::string, double> layer_ms;
+      for (size_t i = 1; i < spans.size(); ++i) {
+        // An "other" span is its parent's time outside the children.
+        const int owner = spans[i].name == "other" ? spans[i].parent
+                                                   : static_cast<int>(i);
+        if (owner <= 0) continue;  // the root's own residue
+        layer_ms[spans[static_cast<size_t>(owner)].name] += self_ms[i];
+      }
+      for (const auto& [layer, ms] : layer_ms) {
+        bench::EmitResult(slug + "." + layer, ms);
+      }
       if (preset == bench::OptPreset::kVanilla) {
         vanilla_total = result.timing.TotalMs();
       }

@@ -1,4 +1,4 @@
-#include "src/service/trace.h"
+#include "src/common/trace.h"
 
 #include <cstddef>
 
@@ -10,9 +10,10 @@ namespace {
 constexpr double kGapEpsilonMs = 1e-6;
 }  // namespace
 
-QueryTrace::QueryTrace() {
+QueryTrace::QueryTrace(std::string root_name, double origin_ms)
+    : origin_ms_(origin_ms) {
   TraceSpan root;
-  root.name = "query";
+  root.name = std::move(root_name);
   root.parent = -1;
   spans_.push_back(std::move(root));
 }
@@ -22,7 +23,7 @@ int QueryTrace::BeginSpan(const std::string& name, int parent) {
   TSE_CHECK_LT(static_cast<size_t>(parent), spans_.size());
   TraceSpan span;
   span.name = name;
-  span.start_ms = timer_.ElapsedMs();
+  span.start_ms = ElapsedMs();
   span.parent = parent;
   spans_.push_back(std::move(span));
   return static_cast<int>(spans_.size()) - 1;
@@ -32,7 +33,7 @@ void QueryTrace::EndSpan(int index) {
   TSE_CHECK_GT(index, 0);
   TSE_CHECK_LT(static_cast<size_t>(index), spans_.size());
   TraceSpan& span = spans_[static_cast<size_t>(index)];
-  span.duration_ms = timer_.ElapsedMs() - span.start_ms;
+  span.duration_ms = ElapsedMs() - span.start_ms;
   if (span.duration_ms < 0.0) span.duration_ms = 0.0;
 }
 
@@ -47,6 +48,24 @@ int QueryTrace::AddSpan(const std::string& name, double start_ms,
   span.parent = parent;
   spans_.push_back(std::move(span));
   return static_cast<int>(spans_.size()) - 1;
+}
+
+int QueryTrace::Graft(const std::vector<TraceSpan>& spans, size_t index,
+                      int parent, double shift_ms) {
+  TSE_CHECK_LT(index, spans.size());
+  // copy[i] is the new index of spans[i], or -1 outside the subtree.
+  std::vector<int> copy(spans.size(), -1);
+  for (size_t i = index; i < spans.size(); ++i) {
+    const TraceSpan& span = spans[i];
+    int to = parent;
+    if (i != index) {
+      to = span.parent >= 0 ? copy[static_cast<size_t>(span.parent)] : -1;
+      if (to < 0) continue;
+    }
+    copy[i] = AddSpan(span.name, span.start_ms + shift_ms, span.duration_ms,
+                      to);
+  }
+  return copy[index];
 }
 
 void QueryTrace::Finalize(double total_ms) {
@@ -73,10 +92,10 @@ void QueryTrace::Finalize(double total_ms) {
       child_sum += spans_[c].duration_ms;
     }
     if (child_sum > parent_ms && child_sum > 0.0) {
-      // Cross-clock skew: the children's own timers overshot the parent's
-      // wall clock. Scale durations (and start offsets relative to the
-      // parent) down so the tree stays consistent — same policy as
-      // TimingBreakdown::Partition.
+      // The children claim more than the parent's wall clock (per-thread
+      // sums of work that ran in parallel, or timers on another clock).
+      // Scale durations (and start offsets relative to the parent) down
+      // so the tree stays consistent.
       const double scale = parent_ms / child_sum;
       for (size_t c : children) {
         spans_[c].duration_ms *= scale;

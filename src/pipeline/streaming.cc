@@ -62,7 +62,7 @@ TSExplainResult StreamingTSExplain::Explain(int threads_override) {
                     positions.end());
   }
   TSExplainResult result =
-      engine_->RunOnCandidates(spec, first_run_done_ ? &positions : nullptr);
+      engine_->Run(spec, first_run_done_ ? &positions : nullptr);
   last_cuts_ = result.segmentation.cuts;
   last_n_ = num_points;
   first_run_done_ = true;

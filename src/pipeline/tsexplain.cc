@@ -5,7 +5,6 @@
 
 #include "src/common/check.h"
 #include "src/common/thread_pool.h"
-#include "src/common/timer.h"
 
 namespace tsexplain {
 namespace {
@@ -31,29 +30,46 @@ int ResolveMeasure(const Table& table, const std::string& name) {
   return idx;
 }
 
+// Records the explainer time spent inside `stage` since `*counted` (gamma
+// fills and Cascading Analysts, summed over calls and threads) as counted
+// children of the stage, then advances `*counted`. Finalize scales them
+// down if the threads' sums exceed the stage's wall clock.
+void AddCountedLayers(QueryTrace& trace, int stage,
+                      const SegmentExplainer& explainer,
+                      ExplainerTiming* counted) {
+  const ExplainerTiming now = explainer.timing();
+  const double fill_ms = now.precompute_ms - counted->precompute_ms;
+  const double ca_ms = now.cascading_ms - counted->cascading_ms;
+  double start = trace.spans()[static_cast<size_t>(stage)].start_ms;
+  if (fill_ms > 0.0) {
+    trace.AddSpan("cube.gamma_fill", start, fill_ms, stage);
+    start += fill_ms;
+  }
+  if (ca_ms > 0.0) trace.AddSpan("diff.ca", start, ca_ms, stage);
+  *counted = now;
+}
+
 }  // namespace
 
-TimingBreakdown TimingBreakdown::Partition(double build_ms,
-                                           double precompute_delta_ms,
-                                           double cascading_delta_ms,
-                                           double wall_ms) {
-  if (build_ms < 0.0) build_ms = 0.0;
-  if (wall_ms < 0.0) wall_ms = 0.0;
-  double a = std::max(0.0, precompute_delta_ms);
-  double b = std::max(0.0, cascading_delta_ms);
-  if (a + b > wall_ms) {
-    // Concurrent Prewarm/Run on a shared engine and multi-thread fills
-    // both inflate the shared counters past this run's wall clock; scale
-    // the shares down so the breakdown stays a partition of wall time.
-    const double scale = (a + b) > 0.0 ? wall_ms / (a + b) : 0.0;
-    a *= scale;
-    b *= scale;
-  }
+bool IsBuildLayer(const std::string& span_name) {
+  return span_name == "diff.registry_build" || span_name == "cube.build" ||
+         span_name == "cube.mask" || span_name == "seg.explainer_init";
+}
+
+TimingBreakdown TimingBreakdown::FromSpans(
+    const std::vector<TraceSpan>& spans) {
   TimingBreakdown timing;
-  timing.precompute_ms = build_ms + a;
-  timing.cascading_ms = b;
-  timing.segmentation_ms = std::max(0.0, wall_ms - a - b);
-  timing.total_ms = build_ms + wall_ms;
+  if (spans.empty()) return timing;
+  timing.total_ms = spans[0].duration_ms;
+  for (const TraceSpan& span : spans) {
+    if (span.name == "diff.ca") {
+      timing.cascading_ms += span.duration_ms;
+    } else if (span.name == "cube.gamma_fill" || IsBuildLayer(span.name)) {
+      timing.precompute_ms += span.duration_ms;
+    }
+  }
+  timing.segmentation_ms = std::max(
+      0.0, timing.total_ms - timing.precompute_ms - timing.cascading_ms);
   return timing;
 }
 
@@ -77,23 +93,28 @@ TSExplain::TSExplain(const Table& table, TSExplainConfig config)
     : table_(table), config_(std::move(config)) {
   TSE_CHECK_GE(table.num_time_buckets(), 3u)
       << "need at least three time buckets to segment";
-  Timer build_timer;
+  QueryTrace build("engine");
   explain_by_ = ResolveExplainBy(table, config_.explain_by_names);
   measure_idx_ = ResolveMeasure(table, config_.measure);
   {
     // One grouping of the rows serves both the registry and the cube; it
     // is dropped as soon as the cube is built.
     TupleCells tuple_cells;
+    int span = build.BeginSpan("diff.registry_build");
     registry_ = ExplanationRegistry::Build(table, explain_by_,
                                            config_.max_order, &tuple_cells);
+    build.EndSpan(span);
+    span = build.BeginSpan("cube.build");
     cube_ = std::make_unique<ExplanationCube>(
         table, registry_, tuple_cells, config_.aggregate, measure_idx_,
         ResolveThreadCount(config_.threads));
-  }
-  if (config_.smooth_window > 1) {
-    cube_->SmoothInPlace(config_.smooth_window);
+    if (config_.smooth_window > 1) {
+      cube_->SmoothInPlace(config_.smooth_window);
+    }
+    build.EndSpan(span);
   }
 
+  const int mask_span = build.BeginSpan("cube.mask");
   if (!config_.exclude.empty()) {
     exclude_mask_.assign(registry_.num_explanations(), true);
     for (size_t e = 0; e < registry_.num_explanations(); ++e) {
@@ -111,7 +132,9 @@ TSExplain::TSExplain(const Table& table, TSExplainConfig config)
     }
   }
   RefreshActiveMask();
+  build.EndSpan(mask_span);
 
+  const int init_span = build.BeginSpan("seg.explainer_init");
   SegmentExplainer::Options options;
   options.m = config_.m;
   options.metric = config_.diff_metric;
@@ -120,7 +143,9 @@ TSExplain::TSExplain(const Table& table, TSExplainConfig config)
   options.active = active_mask_.empty() ? nullptr : &active_mask_;
   explainer_ =
       std::make_unique<SegmentExplainer>(*cube_, registry_, options);
-  build_ms_ = build_timer.ElapsedMs();
+  build.EndSpan(init_span);
+  build_spans_ = build.spans();
+  build_spans_[0].duration_ms = build.ElapsedMs();
 }
 
 TSExplainResult TSExplain::Run() {
@@ -182,20 +207,18 @@ bool TSExplain::AppendBucket(size_t first_row) {
   return true;
 }
 
-TSExplainResult TSExplain::Run(const SegmentationSpec& spec) {
-  return Segment(spec, nullptr, build_ms_);
-}
-
-TSExplainResult TSExplain::RunOnCandidates(
-    const SegmentationSpec& spec, const std::vector<int>* candidates) {
-  return Segment(spec, candidates, /*build_ms=*/0.0);
-}
-
-TSExplainResult TSExplain::Segment(const SegmentationSpec& spec,
-                                   const std::vector<int>* candidates,
-                                   double build_ms) {
-  Timer total_timer;
-  const ExplainerTiming timing_before = explainer_->timing();
+TSExplainResult TSExplain::Run(const SegmentationSpec& spec,
+                               const std::vector<int>* candidates) {
+  // The first run is charged the engine build: the constructor's layers
+  // lead the tree, and this run's stages follow them on the same clock.
+  QueryTrace trace("engine", build_spans_.empty()
+                                 ? 0.0
+                                 : build_spans_[0].duration_ms);
+  for (size_t i = 1; i < build_spans_.size(); ++i) {
+    if (build_spans_[i].parent == 0) trace.Graft(build_spans_, i, 0, 0.0);
+  }
+  build_spans_.clear();
+  ExplainerTiming counted = explainer_->timing();
 
   TSExplainResult result;
   result.epsilon = canonical_count_;
@@ -205,6 +228,7 @@ TSExplainResult TSExplain::Segment(const SegmentationSpec& spec,
   VarianceCalculator calc(*explainer_, spec.variance_metric);
 
   // Candidate cut positions: the caller's, all points, or the sketch (O2).
+  int stage = trace.BeginSpan("seg.sketch");
   std::vector<int> positions;
   if (candidates != nullptr) {
     positions = *candidates;
@@ -216,25 +240,37 @@ TSExplainResult TSExplain::Segment(const SegmentationSpec& spec,
     positions.resize(static_cast<size_t>(n));
     std::iota(positions.begin(), positions.end(), 0);
   }
+  trace.EndSpan(stage);
+  AddCountedLayers(trace, stage, *explainer_, &counted);
 
   // Module (c): weighted variance table + DP over the candidates.
+  stage = trace.BeginSpan("seg.variance_table");
   const VarianceTable table =
       VarianceTable::Compute(calc, positions, /*max_span=*/-1,
                              ResolveThreadCount(spec.threads));
+  trace.EndSpan(stage);
+  AddCountedLayers(trace, stage, *explainer_, &counted);
+  stage = trace.BeginSpan("seg.dp");
   const int dp_max_k = spec.fixed_k > 0 ? spec.fixed_k : spec.max_k;
   KSegmentationDp dp(table, dp_max_k);
   result.k_variance_curve = dp.Curve();
+  trace.EndSpan(stage);
 
   if (spec.fixed_k > 0) {
     int k = std::min(spec.fixed_k, dp.max_k());
     while (k > 1 && !dp.Feasible(k)) --k;
     result.chosen_k = k;
   } else {
+    stage = trace.BeginSpan("seg.elbow");
     result.chosen_k = SelectElbowK(result.k_variance_curve);
+    trace.EndSpan(stage);
   }
+  stage = trace.BeginSpan("seg.dp");
   result.segmentation = dp.Reconstruct(result.chosen_k);
+  trace.EndSpan(stage);
 
   // Explain each final segment via two-relations diff on its endpoints.
+  stage = trace.BeginSpan("pipeline.segment_explain");
   const TimeSeries overall = cube_->OverallSeries();
   result.segments.reserve(
       static_cast<size_t>(result.segmentation.num_segments()));
@@ -263,17 +299,12 @@ TSExplainResult TSExplain::Segment(const SegmentationSpec& spec,
                              seg.variance > 1.5 * mean_variance;
     seg.high_variance_hint = seg.variance > 0.1 && above_peers;
   }
+  trace.EndSpan(stage);
+  AddCountedLayers(trace, stage, *explainer_, &counted);
 
-  // Timing: explainer-internal buckets are modules (a)+(b); the remainder
-  // of this call is module (c). Partition makes the buckets a
-  // non-negative decomposition of this run's wall clock even when the
-  // shared explainer counters were advanced by other threads too
-  // (concurrent Prewarm / threads > 1 per-thread sums).
-  const ExplainerTiming timing_after = explainer_->timing();
-  result.timing = TimingBreakdown::Partition(
-      build_ms, timing_after.precompute_ms - timing_before.precompute_ms,
-      timing_after.cascading_ms - timing_before.cascading_ms,
-      total_timer.ElapsedMs());
+  trace.Finalize(trace.ElapsedMs());
+  result.spans = trace.spans();
+  result.timing = TimingBreakdown::FromSpans(result.spans);
   return result;
 }
 

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/trace.h"
 #include "src/cube/canonical_mask.h"
 #include "src/cube/explanation_cube.h"
 #include "src/cube/support_filter.h"
@@ -134,31 +135,29 @@ struct SegmentationSpec {
   static SegmentationSpec FromConfig(const TSExplainConfig& config);
 };
 
-/// Latency breakdown matching the paper's Figure 15 categories. The
-/// buckets are a NON-NEGATIVE PARTITION of this run's wall clock by
-/// construction (see Partition): at threads = 1 with no concurrent user
-/// of the engine it is the exact per-module attribution; with threads > 1
-/// (per-thread elapsed sums exceed wall clock) or a concurrent
-/// Prewarm/Run on the same engine (the shared explainer counters advance
-/// under both runs), the (a)/(b) shares are scaled down to fit — the old
-/// behavior of clamping only module (c) could silently report
-/// sum(modules) > total with double-attributed time.
+/// The layers the TSExplain constructor records. An engine's first Run
+/// carries them as children of its span root (the build is charged to
+/// the first run only); later runs carry only their own stages.
+bool IsBuildLayer(const std::string& span_name);
+
+/// Latency breakdown matching the paper's Figure 15 categories: a view
+/// over a Run's finalized span tree (TSExplainResult::spans), so it is a
+/// non-negative partition of the run's charged wall clock by
+/// construction.
 struct TimingBreakdown {
-  double precompute_ms = 0.0;    // module (a): cube build + gamma fills
+  double precompute_ms = 0.0;    // module (a): build layers + gamma fills
   double cascading_ms = 0.0;     // module (b): CA / guess-and-verify
-  double segmentation_ms = 0.0;  // module (c): distances, variance, DP
-  double total_ms = 0.0;         // this run's wall clock (incl. build)
+  double segmentation_ms = 0.0;  // module (c): the rest of the run
+  double total_ms = 0.0;         // the root: build (first run) + run
   double TotalMs() const {
     return precompute_ms + cascading_ms + segmentation_ms;
   }
 
-  /// Builds the breakdown from per-run explainer deltas: every bucket
-  /// >= 0 and TotalMs() == total_ms == build_ms + wall_ms (up to fp
-  /// rounding), whatever the deltas claim. Negative deltas (impossible
-  /// outside clock skew) clamp to zero; overshooting deltas scale down
-  /// proportionally; module (c) is the exact remainder.
-  static TimingBreakdown Partition(double build_ms, double precompute_delta_ms,
-                                   double cascading_delta_ms, double wall_ms);
+  /// precompute = the build layers + every "cube.gamma_fill" span,
+  /// cascading = every "diff.ca" span, total = the root, segmentation =
+  /// total - precompute - cascading. `spans` must be finalized
+  /// (QueryTrace::Finalize), which is what makes the sums fit the root.
+  static TimingBreakdown FromSpans(const std::vector<TraceSpan>& spans);
 };
 
 /// Full pipeline output.
@@ -170,6 +169,16 @@ struct TSExplainResult {
   std::vector<double> k_variance_curve;
   /// Evolving explanations: one entry per segment, in time order.
   std::vector<SegmentExplanation> segments;
+  /// This run's layers as a finalized span tree (children tile every
+  /// parent). The root "engine" spans the build (first run only) plus the
+  /// run; its children are the layers — "diff.registry_build",
+  /// "cube.build", "cube.mask", "seg.explainer_init" (first run only),
+  /// then "seg.sketch", "seg.variance_table", "seg.dp", "seg.elbow",
+  /// "pipeline.segment_explain" — and under each stage the time the
+  /// explainer spent in it, summed over calls and threads, as
+  /// "cube.gamma_fill" and "diff.ca".
+  std::vector<TraceSpan> spans;
+  /// Figure 15's buckets, derived from `spans`.
   TimingBreakdown timing;
   /// Candidate explanation counts before/after the support filter.
   size_t epsilon = 0;
@@ -191,16 +200,13 @@ class TSExplain {
 
   /// Same, but with the segmentation knobs overridden: the engine state
   /// (cube, caches, masks) is untouched, so one instance serves arbitrary
-  /// spec variations of its query without re-scanning the relation.
-  TSExplainResult Run(const SegmentationSpec& spec);
-
-  /// Same as Run(spec), but the DP only cuts at `candidates` (sorted
-  /// positions including 0 and n-1); nullptr picks them as Run(spec) does.
-  /// Charges no engine build time: a streaming session runs one engine
-  /// many times (paper section 8 re-segments over its old cuts plus the
-  /// newly arrived points).
-  TSExplainResult RunOnCandidates(const SegmentationSpec& spec,
-                                  const std::vector<int>* candidates);
+  /// spec variations of its query without re-scanning the relation. The
+  /// DP cuts only at `candidates` (sorted positions including 0 and n-1)
+  /// when given; nullptr picks them from the spec (the sketch under O2,
+  /// else every point). A streaming session passes its old cuts plus the
+  /// newly arrived points (paper section 8).
+  TSExplainResult Run(const SegmentationSpec& spec,
+                      const std::vector<int>* candidates = nullptr);
 
   /// Absorbs rows [first_row, table().num_rows()), appended to the table
   /// as one new time bucket, into the cube, and refreshes the selectable
@@ -228,13 +234,6 @@ class TSExplain {
   std::vector<ExplanationItem> ExplainSegment(int begin, int end);
 
  private:
-  /// Module (c) and the per-segment rendering over `candidates` (nullptr:
-  /// the sketch under O2, else every point); `build_ms` is charged to
-  /// module (a).
-  TSExplainResult Segment(const SegmentationSpec& spec,
-                          const std::vector<int>* candidates,
-                          double build_ms);
-
   /// Recomputes the selectable mask and its counts from the cube; returns
   /// whether the mask changed.
   bool RefreshActiveMask();
@@ -254,7 +253,9 @@ class TSExplain {
   size_t canonical_count_ = 0;
   size_t active_count_ = 0;
   std::unique_ptr<SegmentExplainer> explainer_;
-  double build_ms_ = 0.0;  // registry + cube + mask construction time
+  /// The constructor's layers, under a root holding its wall clock;
+  /// charged to the first Run, then cleared.
+  std::vector<TraceSpan> build_spans_;
 };
 
 }  // namespace tsexplain

@@ -162,8 +162,9 @@ class ScopedTimerObserver {
 };
 
 // Closes out a traced request: the response's latency becomes the root
-// span's duration and the finalized tree (children tile each parent,
-// see trace.h) is copied onto the wire response. No-op without a trace.
+// span's duration and the finalized tree (children tile each parent, see
+// src/common/trace.h) is copied onto the wire response. No-op without a
+// trace.
 ExplainResponse FinishTraced(ExplainResponse response, QueryTrace* trace,
                              double total_ms) {
   response.latency_ms = total_ms;
@@ -176,27 +177,47 @@ ExplainResponse FinishTraced(ExplainResponse response, QueryTrace* trace,
 
 // One engine pass plus its wire rendering, as a cache value. `run` runs
 // the engine; the report renders against `engine.cube()` afterwards.
-// Under a trace, engine_run (with the engine's own breakdown as children:
-// cube_build, ca_fanout, segmentation — module (a)/(b)/(c), see
-// tsexplain.h) and json_render become children of `parent`; Finalize
-// squares any residue into an "other" child.
+// Under a trace, engine_run and json_render become children of `parent`
+// and the engine's own span tree (TSExplainResult::spans) is grafted in:
+// its run stages under engine_run, ending when `run` returned, and its
+// build layers (an engine's first run only) under `build_span`, the
+// request's engine_build, from that span's start. A request without one
+// (a session, whose engine was built by an earlier request) gets the
+// whole engine tree under engine_run from its start, and Finalize scales
+// it to fit. Finalize also squares any residue into an "other" child.
 template <typename Engine, typename Run>
 ResultCache::ValuePtr RunAndRender(const Engine& engine, const Run& run,
                                    const ReportOptions& report,
-                                   QueryTrace* trace, int parent) {
+                                   QueryTrace* trace, int parent,
+                                   int build_span) {
   auto cached = std::make_shared<CachedResult>();
   const double run_start = trace ? trace->ElapsedMs() : 0.0;
   cached->result = std::make_shared<TSExplainResult>(run());
   if (trace) {
-    const int run_span = trace->AddSpan(
-        "engine_run", run_start, trace->ElapsedMs() - run_start, parent);
-    const TimingBreakdown& t = cached->result->timing;
-    double offset = run_start;
-    trace->AddSpan("cube_build", offset, t.precompute_ms, run_span);
-    offset += t.precompute_ms;
-    trace->AddSpan("ca_fanout", offset, t.cascading_ms, run_span);
-    offset += t.cascading_ms;
-    trace->AddSpan("segmentation", offset, t.segmentation_ms, run_span);
+    const double run_end = trace->ElapsedMs();
+    const int run_span =
+        trace->AddSpan("engine_run", run_start, run_end - run_start, parent);
+    const std::vector<TraceSpan>& spans = cached->result->spans;
+    const bool charged_build =
+        std::any_of(spans.begin(), spans.end(), [](const TraceSpan& span) {
+          return IsBuildLayer(span.name);
+        });
+    const double run_shift = charged_build && build_span < 0
+                                 ? run_start
+                                 : run_end - spans[0].duration_ms;
+    const double build_shift =
+        build_span >= 0
+            ? trace->spans()[static_cast<size_t>(build_span)].start_ms
+            : run_shift;
+    for (size_t i = 1; i < spans.size(); ++i) {
+      // The engine's own "other" is re-derived by this trace's Finalize.
+      if (spans[i].parent != 0 || spans[i].name == "other") continue;
+      if (build_span >= 0 && IsBuildLayer(spans[i].name)) {
+        trace->Graft(spans, i, build_span, build_shift);
+      } else {
+        trace->Graft(spans, i, run_span, run_shift);
+      }
+    }
   }
   const double render_start = trace ? trace->ElapsedMs() : 0.0;
   cached->json = RenderJsonReport(engine.cube(), *cached->result, report);
@@ -382,11 +403,12 @@ ExplainResponse ExplainService::Explain(const ExplainRequest& request) {
           *compute_error = engine_error;
           return nullptr;
         }
-        if (compute_trace) {
-          compute_trace->AddSpan("engine_build", build_start,
-                                 compute_trace->ElapsedMs() - build_start,
-                                 compute_span);
-        }
+        const int build_span =
+            compute_trace
+                ? compute_trace->AddSpan(
+                      "engine_build", build_start,
+                      compute_trace->ElapsedMs() - build_start, compute_span)
+                : -1;
         const SegmentationSpec spec =
             SegmentationSpec::FromConfig(run_config);
         // Run mutates the engine's explanation caches; serialize per
@@ -396,7 +418,7 @@ ExplainResponse ExplainService::Explain(const ExplainRequest& request) {
             *handle.engine, [&] { return handle.engine->Run(spec); },
             WireReportOptions(request.include_trendlines,
                               request.include_k_curve),
-            compute_trace, compute_span);
+            compute_trace, compute_span, build_span);
       });
   return FinishTraced(std::move(response), trace, timer.ElapsedMs());
 }
@@ -708,7 +730,7 @@ ExplainResponse ExplainService::ExplainSession(uint64_t session_id,
             *session->engine,
             [&] { return session->engine->Explain(granted_threads); },
             WireReportOptions(include_trendlines, include_k_curve),
-            compute_trace, compute_span);
+            compute_trace, compute_span, /*build_span=*/-1);
       });
   return FinishTraced(std::move(response), trace, timer.ElapsedMs());
 }

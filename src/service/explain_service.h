@@ -35,6 +35,7 @@
 
 #include "src/common/mutex.h"
 #include "src/common/thread_pool.h"
+#include "src/common/trace.h"
 #include "src/pipeline/recommend.h"
 #include "src/pipeline/report_json.h"
 #include "src/pipeline/streaming.h"
@@ -42,7 +43,6 @@
 #include "src/service/dataset_registry.h"
 #include "src/service/quota.h"
 #include "src/service/result_cache.h"
-#include "src/service/trace.h"
 #include "src/storage/session_log.h"
 
 namespace tsexplain {
@@ -102,7 +102,7 @@ struct ExplainRequest {
   /// compact; trendlines are opt-in to keep hot responses small.
   bool include_trendlines = false;
   bool include_k_curve = true;
-  /// Collect per-query trace spans (trace.h) into ExplainResponse::trace.
+  /// Collect per-query trace spans (src/common/trace.h) into ExplainResponse::trace.
   /// NOT part of the cache key: tracing changes what is reported, never
   /// what is computed, and a traced hit is still a hit.
   bool trace = false;
@@ -130,7 +130,7 @@ struct ExplainResponse {
   /// slow-query log.
   std::string admission_outcome;
   /// Finalized span tree (empty unless the request asked for tracing).
-  /// Spans partition the root's wall clock; see trace.h.
+  /// Spans partition the root's wall clock; see src/common/trace.h.
   std::vector<TraceSpan> trace;
 };
 

@@ -102,7 +102,7 @@ void BeginOk(JsonWriter& json, const JsonValue& request,
   json.Int(static_cast<long long>(request_id));
 }
 
-// Emits the finalized span tree (trace.h) as a flat array; parents
+// Emits the finalized span tree (src/common/trace.h) as a flat array; parents
 // always precede their children, so clients rebuild the tree in one
 // pass. Skipped entirely when the request did not ask for tracing.
 void EmitTrace(JsonWriter& json, const std::vector<TraceSpan>& spans) {

@@ -58,6 +58,8 @@ size_t CachedResult::CostBytes() const {
     cost += result->segmentation.cuts.capacity() * sizeof(int);
     cost += result->k_variance_curve.capacity() * sizeof(double);
     cost += result->sketch_positions.capacity() * sizeof(int);
+    cost += result->spans.capacity() * sizeof(TraceSpan);
+    for (const TraceSpan& span : result->spans) cost += span.name.capacity();
     for (const SegmentExplanation& seg : result->segments) {
       cost += sizeof(SegmentExplanation);
       cost += seg.begin_label.capacity() + seg.end_label.capacity();

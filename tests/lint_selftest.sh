@@ -176,6 +176,20 @@ else
   echo "ok: op_doc_drift flags both directions"
 fi
 
+# R10: a pipeline file including a service header.
+expect_violation service_include service_include.cc \
+  "src/pipeline/service_include.cc" "service-include"
+
+# R10 must fire on exactly the include line: the other layer's header,
+# the commented-out include and the string stay quiet.
+if [ "$(printf '%s\n' "${OUT}" | grep -c "service-include")" -ne 1 ]; then
+  fail "service_include: expected exactly one R10 violation: ${OUT}"
+elif ! printf '%s' "${OUT}" | grep -q "service_include.cc:9:"; then
+  fail "service_include: wrong line flagged: ${OUT}"
+else
+  echo "ok: service_include flags only the service include"
+fi
+
 # Clean tree: annotated + allow-listed mutexes, unique slugs — exit 0.
 clean_root="${TMPDIR_ROOT}/clean"
 mkdir -p "${clean_root}/src/service" "${clean_root}/tools" \
@@ -184,6 +198,8 @@ cp "${FIXTURES}/clean_guarded.h" "${clean_root}/src/service/clean_guarded.h"
 cp "${FIXTURES}/dup_slug_a.cc" "${clean_root}/bench/dup_slug_a.cc"
 cp "${FIXTURES}/dup_metric_a.cc" "${clean_root}/src/dup_metric_a.cc"
 cp "${FIXTURES}/clean_decode.cc" "${clean_root}/src/storage/clean_decode.cc"
+cp "${FIXTURES}/service_include.cc" \
+   "${clean_root}/src/service/service_include.cc"
 run_linter "${clean_root}"
 if [ "${CODE}" -ne 0 ]; then
   fail "clean: linter flagged a clean tree: ${OUT}"

@@ -16,7 +16,10 @@
 #   - metrics op scraped before/after the query burst: counters are
 #     monotonic, the burst is visible, histogram buckets sum to their
 #     count, and the Prometheus rendering carries the same series
-#   - a trace-enabled explain returns spans partitioning the root's time
+#   - a trace-enabled explain returns spans partitioning the root's time;
+#     a traced cold explain (new engine) shows the engine's own layers
+#     under engine_run (tiling it), each build layer exactly once under
+#     engine_build, and no engine span named like a service span
 #   - TCP mode (with the overload flags set): a request dribbled
 #     byte-by-byte across many tiny writes still parses (recv-boundary
 #     handling), a multi-MB garbage line draws ONE structured error and
@@ -82,6 +85,9 @@ EXPLAIN_FIELDS='"dataset":"sales","measure":"sales","explain_by":["region"],"k":
   echo 'this is not json'
   echo '{"op":"append","id":14,"session":1,"label":"bad","rows":[{"dims":["east","oops"],"measures":[1]}]}'
   echo '{"op":"stats","id":15}'
+  # Traced cold explain on a new engine (m is part of the engine key),
+  # after the stats snapshot so the miss counts above stay as they are.
+  echo "{\"op\":\"explain\",\"id\":44,$EXPLAIN_FIELDS,\"m\":2,\"trace\":true}"
   echo '{"op":"shutdown","id":16}'
 } >"$REQ"
 
@@ -91,9 +97,9 @@ if ! "$SERVE" <"$REQ" >"$OUT" 2>"$TMPDIR_SMOKE/serve.err"; then
   cat "$TMPDIR_SMOKE/serve.err" >&2
 fi
 
-# Every request (20 ids + 1 parse error) got exactly one response line.
+# Every request (21 ids + 1 parse error) got exactly one response line.
 lines=$(wc -l <"$OUT")
-[ "$lines" -eq 21 ] || fail response_count "expected 21 responses, got $lines"
+[ "$lines" -eq 22 ] || fail response_count "expected 22 responses, got $lines"
 
 response_for 1 "$OUT" | grep -q '"ok":true' || fail register "$(response_for 1 "$OUT")"
 response_for 1 "$OUT" | grep -q '"time_buckets":10' || fail register_shape "$(response_for 1 "$OUT")"
@@ -172,6 +178,41 @@ assert abs(root["duration_ms"] - traced["latency_ms"]) < 1e-6
 child_sum = sum(s["duration_ms"] for s in spans if s["parent"] == 0)
 assert abs(child_sum - root["duration_ms"]) < 1e-6, \
     f"child spans sum {child_sum} != root {root['duration_ms']}"
+
+# A traced cold explain grafts the engine's own span tree: its run stages
+# under engine_run, its build layers (once each) under engine_build.
+cold = by_id[44]
+assert cold["ok"] and not cold["cache_hit"], cold
+spans = cold["trace"]
+names = [s["name"] for s in spans]
+SERVICE = {"cache_lookup", "admission_wait", "engine_build", "compute"}
+ENGINE_LAYERS = {"diff.registry_build", "cube.build", "cube.mask",
+                 "seg.explainer_init", "seg.sketch", "seg.variance_table",
+                 "seg.dp", "seg.elbow", "pipeline.segment_explain",
+                 "cube.gamma_fill", "diff.ca"}
+BUILD_LAYERS = {"diff.registry_build", "cube.build", "cube.mask",
+                "seg.explainer_init"}
+for name in SERVICE:
+    assert names.count(name) == 1, f"service span {name} x{names.count(name)}"
+run = names.index("engine_run")
+build = names.index("engine_build")
+run_children = [s for s in spans if s["parent"] == run]
+assert {s["name"] for s in run_children} & ENGINE_LAYERS, \
+    f"engine_run has no engine-layer children: {run_children}"
+run_sum = sum(s["duration_ms"] for s in run_children)
+assert abs(run_sum - spans[run]["duration_ms"]) < 1e-6, \
+    f"engine_run children sum {run_sum} != {spans[run]['duration_ms']}"
+for layer in BUILD_LAYERS:
+    hits = [s for s in spans if s["name"] == layer]
+    assert len(hits) == 1 and hits[0]["parent"] == build, \
+        f"build layer {layer} not exactly once under engine_build: {hits}"
+# Every span below engine_run / engine_build came from the engine.
+below = {run, build}
+for i, s in enumerate(spans):
+    if s["parent"] in below:
+        below.add(i)
+        assert s["name"] not in SERVICE, \
+            f"engine span reuses service span name {s['name']}"
 PYEOF
 
 # --- TCP mode: dribbled bytes, oversized lines, overload flags ------------

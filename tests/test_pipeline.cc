@@ -130,6 +130,30 @@ TEST(Pipeline, TimingBreakdownPopulated) {
               1e-9);
 }
 
+// The engine build is charged to the first Run only: a hot engine's
+// later runs carry no build-layer spans and report no build time.
+TEST(Pipeline, OnlyTheFirstRunCarriesTheBuild) {
+  const SyntheticDataset ds = CleanDataset(29);
+  TSExplain engine(*ds.table, BaseConfig());
+  const auto build_layers = [](const TSExplainResult& result) {
+    size_t count = 0;
+    for (const TraceSpan& span : result.spans) {
+      if (IsBuildLayer(span.name)) {
+        EXPECT_EQ(span.parent, 0) << span.name;
+        ++count;
+      }
+    }
+    return count;
+  };
+  const TSExplainResult first = engine.Run();
+  EXPECT_EQ(build_layers(first), 4u);
+  const TSExplainResult second = engine.Run();
+  EXPECT_EQ(build_layers(second), 0u);
+  ASSERT_FALSE(second.spans.empty());
+  EXPECT_EQ(second.spans[0].name, "engine");
+  EXPECT_EQ(second.segmentation.cuts, first.segmentation.cuts);
+}
+
 TEST(Pipeline, EpsilonAccounting) {
   const SyntheticDataset ds = CleanDataset(31);
   TSExplainConfig config = BaseConfig();

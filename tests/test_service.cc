@@ -748,6 +748,69 @@ TEST(ExplainServiceTest, TimingBreakdownStaysAPartitionUnderConcurrency) {
   }
 }
 
+// A traced cold explain shows each engine build layer exactly once,
+// under the request's engine_build span, and the engine's run stages
+// under engine_run; a second K on the now hot engine shows no build
+// layer at all. Children tile every parent in both traces.
+TEST(ExplainServiceTest, TracedColdExplainCountsTheBuildOnce) {
+  ExplainService service;
+  std::string error;
+  ASSERT_TRUE(service.registry().RegisterTable("ds", MakeTable(71),
+                                               "<table>", &error));
+  ExplainRequest request;
+  request.dataset = "ds";
+  request.config = BaseConfig();
+  request.config.fixed_k = 3;
+  request.trace = true;
+
+  const auto check_trace = [](const std::vector<TraceSpan>& spans,
+                              size_t expected_build_layers) {
+    int build = -1;
+    int run = -1;
+    for (size_t i = 0; i < spans.size(); ++i) {
+      if (spans[i].name == "engine_build") build = static_cast<int>(i);
+      if (spans[i].name == "engine_run") run = static_cast<int>(i);
+    }
+    ASSERT_GE(build, 0);
+    ASSERT_GE(run, 0);
+    std::map<std::string, int> build_layers;
+    std::set<std::string> run_layers;
+    std::vector<double> child_sum(spans.size(), -1.0);
+    for (const TraceSpan& span : spans) {
+      if (IsBuildLayer(span.name)) {
+        ++build_layers[span.name];
+        EXPECT_EQ(span.parent, build) << span.name;
+      }
+      if (span.parent == run) run_layers.insert(span.name);
+      if (span.parent >= 0) {
+        double& sum = child_sum[static_cast<size_t>(span.parent)];
+        sum = std::max(sum, 0.0) + span.duration_ms;
+      }
+    }
+    EXPECT_EQ(build_layers.size(), expected_build_layers);
+    for (const auto& [name, count] : build_layers) {
+      EXPECT_EQ(count, 1) << name;
+    }
+    EXPECT_EQ(run_layers.count("seg.variance_table"), 1u);
+    EXPECT_EQ(run_layers.count("pipeline.segment_explain"), 1u);
+    for (size_t p = 0; p < spans.size(); ++p) {
+      if (child_sum[p] < 0.0) continue;
+      EXPECT_NEAR(child_sum[p], spans[p].duration_ms, 1e-6) << spans[p].name;
+    }
+  };
+
+  const ExplainResponse cold = service.Explain(request);
+  ASSERT_TRUE(cold.ok) << cold.error;
+  ASSERT_FALSE(cold.cache_hit);
+  check_trace(cold.trace, 4);
+
+  request.config.fixed_k = 4;  // same engine, new cache key
+  const ExplainResponse hot_engine = service.Explain(request);
+  ASSERT_TRUE(hot_engine.ok) << hot_engine.error;
+  ASSERT_FALSE(hot_engine.cache_hit);
+  check_trace(hot_engine.trace, 0);
+}
+
 TEST(ProtocolTest, ParseQueryConfigRoundTrip) {
   JsonValue request;
   std::string error;

@@ -1,14 +1,22 @@
-// Unit coverage for per-query trace spans (src/service/trace.h): the
-// Finalize partition invariant — children tile their parent exactly,
-// gaps surface as synthetic "other" spans, overshoot scales down — plus
-// the Begin/End/AddSpan bookkeeping the service relies on.
+// Unit coverage for trace spans (src/common/trace.h): the Finalize
+// partition invariant — children tile their parent exactly, gaps surface
+// as synthetic "other" spans, overshoot scales down — the
+// Begin/End/AddSpan/Graft bookkeeping the engine and the service rely
+// on, and TimingBreakdown (src/pipeline/tsexplain.h) as a view over a
+// finalized tree: hand-built trees for the clamp-and-scale cases, and a
+// real engine Run.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <set>
+#include <string>
 #include <vector>
 
-#include "src/service/trace.h"
+#include "src/common/trace.h"
+#include "src/datagen/liquor_sim.h"
+#include "src/pipeline/tsexplain.h"
 
 namespace tsexplain {
 namespace {
@@ -122,6 +130,137 @@ TEST(QueryTraceTest, FinalizeClampsNegativeTotal) {
   EXPECT_DOUBLE_EQ(spans[0].duration_ms, 0.0);
   // Children scale to fit the zero-width parent.
   EXPECT_DOUBLE_EQ(ChildSum(spans, 0), 0.0);
+}
+
+TEST(QueryTraceTest, OriginOffsetsTheClock) {
+  QueryTrace trace("engine", 7.0);
+  EXPECT_EQ(trace.spans()[0].name, "engine");
+  EXPECT_GE(trace.ElapsedMs(), 7.0);
+  const int span = trace.BeginSpan("stage");
+  EXPECT_GE(trace.spans()[static_cast<size_t>(span)].start_ms, 7.0);
+}
+
+TEST(QueryTraceTest, GraftCopiesOneSubtreeShifted) {
+  QueryTrace source;
+  const int stage = source.AddSpan("stage", 1.0, 4.0, 0);
+  source.AddSpan("counted", 1.0, 2.0, stage);
+  source.AddSpan("sibling", 5.0, 1.0, 0);
+
+  QueryTrace target;
+  const int run = target.AddSpan("engine_run", 10.0, 6.0, 0);
+  const int copy = target.Graft(source.spans(), 1, run, 10.0);
+  const std::vector<TraceSpan>& spans = target.spans();
+  ASSERT_EQ(spans.size(), 4u);  // root, engine_run, stage, counted
+  EXPECT_EQ(spans[static_cast<size_t>(copy)].name, "stage");
+  EXPECT_EQ(spans[static_cast<size_t>(copy)].parent, run);
+  EXPECT_DOUBLE_EQ(spans[static_cast<size_t>(copy)].start_ms, 11.0);
+  EXPECT_EQ(spans[3].name, "counted");
+  EXPECT_EQ(spans[3].parent, copy);
+  EXPECT_DOUBLE_EQ(spans[3].duration_ms, 2.0);
+}
+
+// An engine-shaped tree: a build layer of `build_ms`, then one stage of
+// `wall_ms` whose explainer time was counted as `fill_ms` of gamma fills
+// and `ca_ms` of Cascading Analysts, finalized at build + wall.
+TimingBreakdown BucketsOf(double build_ms, double fill_ms, double ca_ms,
+                          double wall_ms) {
+  QueryTrace trace("engine");
+  trace.AddSpan("diff.registry_build", 0.0, build_ms, 0);
+  const int stage =
+      trace.AddSpan("seg.variance_table", build_ms, wall_ms, 0);
+  trace.AddSpan("cube.gamma_fill", build_ms, fill_ms, stage);
+  trace.AddSpan("diff.ca", build_ms + fill_ms, ca_ms, stage);
+  trace.Finalize(std::max(0.0, build_ms) + std::max(0.0, wall_ms));
+  return TimingBreakdown::FromSpans(trace.spans());
+}
+
+// The Figure-15 buckets are a non-negative partition of the charged wall
+// clock by construction, even when the counted explainer time overshoots
+// the stage (per-thread sums at threads > 1, or a concurrent Prewarm
+// advancing the shared counters).
+TEST(TimingBreakdownTest, OvershootingCountedTimeScalesDown) {
+  // 80 + 40 ms counted inside a 60 ms stage: scaled 80:40 into 60.
+  const TimingBreakdown t = BucketsOf(/*build_ms=*/10.0, /*fill_ms=*/80.0,
+                                      /*ca_ms=*/40.0, /*wall_ms=*/60.0);
+  EXPECT_NEAR(t.precompute_ms, 10.0 + 40.0, 1e-9);
+  EXPECT_NEAR(t.cascading_ms, 20.0, 1e-9);
+  EXPECT_NEAR(t.segmentation_ms, 0.0, 1e-9);
+  EXPECT_NEAR(t.TotalMs(), 70.0, 1e-9);
+  EXPECT_NEAR(t.total_ms, 70.0, 1e-9);
+}
+
+TEST(TimingBreakdownTest, SegmentationIsTheExactRemainder) {
+  const TimingBreakdown t = BucketsOf(5.0, 10.0, 20.0, 100.0);
+  EXPECT_NEAR(t.precompute_ms, 15.0, 1e-9);
+  EXPECT_NEAR(t.cascading_ms, 20.0, 1e-9);
+  EXPECT_NEAR(t.segmentation_ms, 70.0, 1e-9);
+  EXPECT_NEAR(t.total_ms, 105.0, 1e-9);
+}
+
+TEST(TimingBreakdownTest, HostileDurationsStayNonNegative) {
+  // Negative build and fill, CA inside a zero-width stage.
+  const TimingBreakdown t = BucketsOf(-3.0, -1.0, 5.0, 0.0);
+  EXPECT_GE(t.precompute_ms, 0.0);
+  EXPECT_GE(t.cascading_ms, 0.0);
+  EXPECT_GE(t.segmentation_ms, 0.0);
+  EXPECT_NEAR(t.TotalMs(), 0.0, 1e-9);
+  EXPECT_NEAR(t.total_ms, 0.0, 1e-9);
+}
+
+// A cold Liquor O1+O2 run: the engine names its layers, the tree tiles
+// the run's charged wall clock exactly, and the Figure-15 buckets are
+// exactly the sums of their spans.
+TEST(TimingBreakdownTest, RealRunSpansTileAndSumToTheBuckets) {
+  const auto table = MakeLiquorTable();
+  TSExplainConfig config;
+  config.measure = "bottles_sold";
+  config.explain_by_names = {"BV", "P"};
+  config.use_guess_verify = true;
+  config.use_sketch = true;
+  TSExplain engine(*table, config);
+  const TSExplainResult result = engine.Run();
+  const std::vector<TraceSpan>& spans = result.spans;
+  ASSERT_FALSE(spans.empty());
+  EXPECT_EQ(spans[0].name, "engine");
+  EXPECT_EQ(spans[0].parent, -1);
+
+  std::set<std::string> layers;
+  for (size_t i = 1; i < spans.size(); ++i) {
+    ASSERT_GE(spans[i].parent, 0);
+    ASSERT_LT(static_cast<size_t>(spans[i].parent), i);
+    EXPECT_GE(spans[i].duration_ms, 0.0);
+    if (spans[i].name != "other") layers.insert(spans[i].name);
+  }
+  EXPECT_GE(layers.size(), 8u);
+  for (const char* layer :
+       {"diff.registry_build", "cube.build", "cube.mask", "seg.explainer_init",
+        "seg.sketch", "seg.variance_table", "seg.dp", "seg.elbow",
+        "pipeline.segment_explain", "cube.gamma_fill", "diff.ca"}) {
+    EXPECT_EQ(layers.count(layer), 1u) << layer;
+  }
+
+  for (size_t p = 0; p < spans.size(); ++p) {
+    const double sum = ChildSum(spans, static_cast<int>(p));
+    if (sum < 0.0) continue;  // a leaf
+    EXPECT_NEAR(sum, spans[p].duration_ms,
+                1e-9 * std::max(1.0, spans[p].duration_ms))
+        << spans[p].name;
+  }
+
+  double precompute = 0.0;
+  double cascading = 0.0;
+  for (const TraceSpan& span : spans) {
+    if (span.name == "diff.ca") {
+      cascading += span.duration_ms;
+    } else if (span.name == "cube.gamma_fill" || IsBuildLayer(span.name)) {
+      precompute += span.duration_ms;
+    }
+  }
+  EXPECT_EQ(result.timing.total_ms, spans[0].duration_ms);
+  EXPECT_EQ(result.timing.precompute_ms, precompute);
+  EXPECT_EQ(result.timing.cascading_ms, cascading);
+  EXPECT_EQ(result.timing.segmentation_ms,
+            spans[0].duration_ms - precompute - cascading);
 }
 
 }  // namespace

@@ -83,6 +83,12 @@ R9   op-doc-drift: every row of the protocol's op table in
      place an op is declared; its documentation cannot silently lag it
      or outlive it. Skipped when the tree has neither file.
 
+R10  service-include: no file under src/ outside src/service/ includes a
+     src/service/ header. The service sits on top of the library
+     (engine, trace spans, storage); a lower layer that reaches up into
+     it would tie the engine to the server. Tools, tests, benches and
+     fuzz harnesses may include service headers.
+
 Exit status: 0 when clean, 1 with one `RULE: file:line: message` line per
 violation otherwise.
 
@@ -674,7 +680,7 @@ def check_forked_engine(root, violations):
                 violations.append(
                     ("forked-engine", rel, lineno,
                      "'%s' outside %s: drive a TSExplain engine "
-                     "(Run / RunOnCandidates / AppendBucket) instead of "
+                     "(Run / AppendBucket) instead of "
                      "rebuilding its parts" % (
                          " ".join(m.group(0).split()), ENGINE_OWNER)))
 
@@ -728,6 +734,25 @@ def check_op_doc_drift(root, violations):
                      name, PROTOCOL_SOURCE)))
 
 
+SERVICE_INCLUDE = re.compile(r'^\s*#\s*include\s*"src/service/')
+
+
+def check_service_includes(root, violations):
+    """R10: library layers below the service do not include it."""
+    for path in iter_files(root, ["src"], {".h", ".cc"}):
+        rel = relpath(root, path)
+        if rel.startswith("src/service/"):
+            continue
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, 1):
+                if SERVICE_INCLUDE.match(line):
+                    violations.append(
+                        ("service-include", rel, lineno,
+                         "%s includes a src/service/ header: only the "
+                         "service and the programs on top of it may" %
+                         line.strip()))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--root", default=".",
@@ -746,6 +771,7 @@ def main():
     check_unchecked_bytereader(root, violations)
     check_forked_engine(root, violations)
     check_op_doc_drift(root, violations)
+    check_service_includes(root, violations)
 
     for rule, rel, lineno, message in violations:
         print("%s: %s:%d: %s" % (rule, rel, lineno, message))
