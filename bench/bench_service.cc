@@ -486,9 +486,9 @@ void Run() {
       "%.4f ms/query\n",
       cold_ms, hot_ms, cold_ms / hot_ms, concurrent_ms);
   std::printf(
-      "concurrent cache: %zu misses, %zu hits, %zu coalesced over %d "
-      "queries (%zu hot engines)\n",
-      stats.cache.misses, stats.cache.hits, stats.cache.coalesced,
+      "concurrent cache: %zu misses, %zu hits, %zu admission-coalesced "
+      "over %d queries (%zu hot engines)\n",
+      stats.cache.misses, stats.cache.hits, stats.admission.coalesced,
       kClients * kQueriesPerClient, stats.hot_engines);
   if (cold_ms / hot_ms < 10.0) {
     std::fprintf(stderr,

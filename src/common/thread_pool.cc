@@ -1,13 +1,7 @@
 #include "src/common/thread_pool.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <memory>
-
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 #include "src/common/check.h"
 #include "src/common/metrics.h"
@@ -16,49 +10,6 @@
 namespace tsexplain {
 
 namespace {
-
-// TSE_THREADS_AFFINITY=1 pins each pool worker to one online CPU,
-// round-robin in worker order (docs/PERF.md "Thread affinity"). Opt-in:
-// pinning helps steady-state bench runs (less cross-core cache migration)
-// but hurts on shared machines, so the default stays unpinned. On
-// non-Linux platforms the flag is a documented no-op — there is no
-// portable pinning API, and correctness never depends on placement.
-bool AffinityRequested() {
-  static const bool requested = [] {
-    const char* value = std::getenv("TSE_THREADS_AFFINITY");
-    return value != nullptr && value[0] == '1';
-  }();
-  return requested;
-}
-
-void MaybePinWorker(std::thread& worker, int index) {
-#ifdef __linux__
-  if (!AffinityRequested()) return;
-  cpu_set_t online;
-  CPU_ZERO(&online);
-  if (sched_getaffinity(0, sizeof(online), &online) != 0) return;
-  const int num_online = CPU_COUNT(&online);
-  if (num_online <= 0) return;
-  // index-th online CPU, wrapping — CPU ids need not be contiguous.
-  int target = index % num_online;
-  cpu_set_t pin;
-  CPU_ZERO(&pin);
-  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-    if (!CPU_ISSET(cpu, &online)) continue;
-    if (target-- == 0) {
-      CPU_SET(cpu, &pin);
-      // Best-effort: a failed pin (cgroup changes between the two calls,
-      // exotic schedulers) leaves the worker unpinned, never aborts.
-      pthread_setaffinity_np(worker.native_handle(), sizeof(pin), &pin);
-      return;
-    }
-  }
-#else
-  (void)worker;
-  (void)index;
-  (void)AffinityRequested();  // accepted but a no-op off Linux
-#endif
-}
 
 // Pool pressure metrics (docs/OBSERVABILITY.md): queue depth tracks
 // tasks submitted but not yet started; task_ms is the run time of each
@@ -95,7 +46,6 @@ ThreadPool::ThreadPool(int num_threads) {
   workers_.reserve(static_cast<size_t>(num_threads));
   for (int t = 0; t < num_threads; ++t) {
     workers_.emplace_back([this] { WorkerLoop(); });
-    MaybePinWorker(workers_.back(), t);
   }
 }
 

@@ -15,9 +15,9 @@
 //  * duplicate in-flight queries BATCH: a request whose key is already
 //    admitted does not consume a slot or a queue position — it waits for
 //    the leader to finish (the "window" is the leader's run) and then
-//    serves the leader's now-cached result. This extends the
-//    ResultCache's single-flight upward: duplicates no longer occupy
-//    admission capacity while they wait;
+//    serves the leader's now-cached result. This is the service's only
+//    single-flight (the ResultCache is a plain LRU), and duplicates do
+//    not occupy admission capacity while they wait;
 //  * per-tenant in-flight caps: a tenant at its cap is shed with
 //    `quota_exceeded` BEFORE it can occupy queue slots, so one tenant
 //    cannot monopolize admission;

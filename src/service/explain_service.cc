@@ -10,6 +10,7 @@
 
 #include "src/common/metrics.h"
 #include "src/common/strings.h"
+#include "src/common/thread_pool.h"
 #include "src/common/timer.h"
 #include "src/service/query_key.h"
 #include "src/storage/cache_snapshot.h"
@@ -128,7 +129,7 @@ ExplainResponse ServedResponse(const std::string& cache_key,
 
 // End-to-end service latency (docs/OBSERVABILITY.md). hot = served from
 // a direct cache Lookup without touching admission; cold = everything
-// that went through AdmitAndCompute and succeeded (coalesced requests
+// that went through admission in Serve and succeeded (coalesced requests
 // included — they paid the admission wait).
 struct ServiceMetrics {
   Histogram& hot_ms = MetricRegistry::Global().GetHistogram("query.hot_ms");
@@ -259,13 +260,27 @@ bool ExplainService::DropDataset(const std::string& name) {
   return true;
 }
 
-ExplainResponse ExplainService::AdmitAndCompute(
-    const std::string& cache_key, const std::string& tenant,
-    int requested_threads, QueryTrace* trace,
-    const std::function<ResultCache::ValuePtr(
-        int granted_threads, QueryTrace* trace, int compute_span,
-        std::string* error)>& compute) {
-  Timer timer;
+ExplainResponse ExplainService::Serve(const std::string& cache_key,
+                                      const std::string& tenant,
+                                      int requested_threads,
+                                      QueryTrace* trace, const Timer& timer,
+                                      const ComputeFn& compute) {
+  const auto finish = [&](ExplainResponse response) {
+    return FinishTraced(std::move(response), trace, timer.ElapsedMs());
+  };
+  // Hot path: cached results bypass admission — overload can defer cold
+  // work but never a hit.
+  const int lookup_span = trace ? trace->BeginSpan("cache_lookup") : -1;
+  const ResultCache::ValuePtr hot = cache_.Lookup(cache_key);
+  if (trace) trace->EndSpan(lookup_span);
+  if (hot) {
+    ExplainResponse response = ServedResponse(cache_key, hot,
+                                              /*cache_hit=*/true,
+                                              timer.ElapsedMs());
+    response.admission_outcome = "cache_hit";
+    ServiceMetrics::Get().hot_ms.Observe(response.latency_ms);
+    return finish(std::move(response));
+  }
   // A batched (coalesced) outcome normally lands on the leader's cached
   // value; when the leader failed (or its entry was evicted instantly)
   // we re-enter admission as a potential leader ourselves. Two re-entries
@@ -283,7 +298,7 @@ ExplainResponse ExplainService::AdmitAndCompute(
             "server overloaded: admission queue full; retry later");
         response.retry_after_ms = ticket.retry_after_ms();
         response.admission_outcome = "shed_overload";
-        return response;
+        return finish(std::move(response));
       }
       case AdmissionController::Outcome::kShedTenant: {
         ExplainResponse response = ErrorResponse(
@@ -291,7 +306,7 @@ ExplainResponse ExplainService::AdmitAndCompute(
             "tenant '" + tenant + "' is at its in-flight quota");
         response.retry_after_ms = ticket.retry_after_ms();
         response.admission_outcome = "shed_tenant";
-        return response;
+        return finish(std::move(response));
       }
       case AdmissionController::Outcome::kCoalesced: {
         const ResultCache::ValuePtr value = cache_.Lookup(cache_key);
@@ -300,41 +315,43 @@ ExplainResponse ExplainService::AdmitAndCompute(
               cache_key, value, /*cache_hit=*/true, timer.ElapsedMs());
           response.admission_outcome = "coalesced";
           ServiceMetrics::Get().cold_ms.Observe(response.latency_ms);
-          return response;
+          return finish(std::move(response));
         }
         continue;  // leader failed: retry admission
       }
       case AdmissionController::Outcome::kAdmitted: {
+        // The ticket is held until this case returns, so an identical
+        // request arriving meanwhile is batched onto this one rather than
+        // computing again. A value that landed between the hot miss and
+        // this admission is served as a hit by GetOrCompute.
         const int compute_span = trace ? trace->BeginSpan("compute") : -1;
         bool was_hit = false;
         const ResultCache::ValuePtr value = cache_.GetOrCompute(
             cache_key,
-            [&]() -> ResultCache::ValuePtr {
-              return compute(ticket.granted_threads(), trace, compute_span,
+            [&] {
+              return compute(ticket.granted_threads(), compute_span,
                              &compute_error);
             },
             &was_hit);
         if (trace) trace->EndSpan(compute_span);
-        if (!value) {
-          ExplainResponse response = ErrorResponse(
-              error_code::kInternal, compute_error.empty()
-                                         ? "computation failed"
-                                         : compute_error);
-          response.admission_outcome = "admitted";
-          return response;
-        }
         ExplainResponse response =
-            ServedResponse(cache_key, value, was_hit, timer.ElapsedMs());
+            value ? ServedResponse(cache_key, value, was_hit,
+                                   timer.ElapsedMs())
+                  : ErrorResponse(error_code::kInternal,
+                                  compute_error.empty()
+                                      ? "computation failed"
+                                      : compute_error);
         response.admission_outcome = "admitted";
-        ServiceMetrics::Get().cold_ms.Observe(response.latency_ms);
-        return response;
+        if (value) ServiceMetrics::Get().cold_ms.Observe(response.latency_ms);
+        return finish(std::move(response));
       }
     }
   }
-  return ErrorResponse(error_code::kInternal,
-                       compute_error.empty()
-                           ? "query kept failing under coalesced retries"
-                           : compute_error);
+  return finish(ErrorResponse(error_code::kInternal,
+                              compute_error.empty()
+                                  ? "query kept failing under coalesced "
+                                    "retries"
+                                  : compute_error));
 }
 
 ExplainResponse ExplainService::Explain(const ExplainRequest& request) {
@@ -371,31 +388,17 @@ ExplainResponse ExplainService::Explain(const ExplainRequest& request) {
       ReportSuffix(request.include_trendlines, request.include_k_curve);
   if (!request.tenant.empty()) tenant_quotas_.EnsureTenant(request.tenant);
 
-  // Hot path: cached results bypass admission — overload can defer cold
-  // work but never a hit.
-  const int lookup_span = trace ? trace->BeginSpan("cache_lookup") : -1;
-  const ResultCache::ValuePtr hot = cache_.Lookup(cache_key);
-  if (trace) trace->EndSpan(lookup_span);
-  if (hot) {
-    ExplainResponse response = ServedResponse(cache_key, hot,
-                                              /*cache_hit=*/true,
-                                              timer.ElapsedMs());
-    response.admission_outcome = "cache_hit";
-    ServiceMetrics::Get().hot_ms.Observe(response.latency_ms);
-    return FinishTraced(std::move(response), trace, timer.ElapsedMs());
-  }
-
-  ExplainResponse response = AdmitAndCompute(
+  return Serve(
       cache_key, request.tenant, ResolveThreadCount(config.threads), trace,
-      [&](int granted_threads, QueryTrace* compute_trace, int compute_span,
+      timer,
+      [&](int granted_threads, int compute_span,
           std::string* compute_error) -> ResultCache::ValuePtr {
         // The admission grant replaces the requested thread count (it is
         // a ceiling, not a demand); results are identical either way.
         TSExplainConfig run_config = config;
         run_config.threads = granted_threads;
         std::string engine_error;
-        const double build_start =
-            compute_trace ? compute_trace->ElapsedMs() : 0.0;
+        const double build_start = trace ? trace->ElapsedMs() : 0.0;
         EngineHandle handle = registry_.GetOrBuildEngine(
             request.dataset, canonical.engine_key, run_config,
             ref.table.get(), &engine_error);
@@ -404,11 +407,10 @@ ExplainResponse ExplainService::Explain(const ExplainRequest& request) {
           return nullptr;
         }
         const int build_span =
-            compute_trace
-                ? compute_trace->AddSpan(
-                      "engine_build", build_start,
-                      compute_trace->ElapsedMs() - build_start, compute_span)
-                : -1;
+            trace ? trace->AddSpan("engine_build", build_start,
+                                   trace->ElapsedMs() - build_start,
+                                   compute_span)
+                  : -1;
         const SegmentationSpec spec =
             SegmentationSpec::FromConfig(run_config);
         // Run mutates the engine's explanation caches; serialize per
@@ -418,9 +420,8 @@ ExplainResponse ExplainService::Explain(const ExplainRequest& request) {
             *handle.engine, [&] { return handle.engine->Run(spec); },
             WireReportOptions(request.include_trendlines,
                               request.include_k_curve),
-            compute_trace, compute_span, build_span);
+            trace, compute_span, build_span);
       });
-  return FinishTraced(std::move(response), trace, timer.ElapsedMs());
 }
 
 ExplainService::RecommendResponse ExplainService::Recommend(
@@ -460,9 +461,23 @@ uint64_t ExplainService::OpenSession(const std::string& dataset,
   TSExplainConfig normalized = config;
   if (!ValidateAndNormalize(*table, &normalized, error)) return 0;
 
+  // StreamingTSExplain copies the table: the session's view grows
+  // independently of the immutable registered dataset. The fingerprint
+  // was computed once at registration; the cached copy keeps the log
+  // header from re-serializing the table here.
+  return PublishSession(dataset, normalized,
+                        std::make_unique<StreamingTSExplain>(*table,
+                                                             normalized),
+                        ref.fingerprint, {});
+}
+
+uint64_t ExplainService::PublishSession(
+    std::string dataset, TSExplainConfig config,
+    std::unique_ptr<StreamingTSExplain> engine, uint64_t base_fingerprint,
+    const std::vector<storage::SessionLogAppend>& replayed) {
   auto session = std::make_shared<Session>();
-  session->dataset = dataset;
-  session->config = normalized;
+  session->dataset = std::move(dataset);
+  session->config = std::move(config);
   {
     MutexLock lock(sessions_mu_);
     session->id = next_session_id_++;
@@ -471,15 +486,8 @@ uint64_t ExplainService::OpenSession(const std::string& dataset,
     // The session is still private, so its mutex is uncontended; holding
     // it makes the guarded-field writes below provable to the analysis.
     MutexLock session_lock(session->mu);
-    // StreamingTSExplain copies the table: the session's view grows
-    // independently of the immutable registered dataset.
-    session->engine =
-        std::make_unique<StreamingTSExplain>(*table, normalized);
-    if (!session_log_dir_.empty()) {
-      // The fingerprint was computed once at registration; the cached
-      // copy keeps OpenSession from re-serializing the table here.
-      AttachSessionLog(*session, ref.fingerprint, {});
-    }
+    session->engine = std::move(engine);
+    AttachSessionLog(*session, base_fingerprint, replayed);
   }
   {
     // Published only after the log observer is subscribed: no append can
@@ -607,28 +615,14 @@ uint64_t ExplainService::RecoverSession(const std::string& log_path,
   if (replayed) {
     *replayed = static_cast<int>(recovered.contents.appends.size());
   }
-  auto session = std::make_shared<Session>();
-  session->dataset = recovered.contents.dataset;
-  session->config = validated;  // what the engine was actually built from
-  {
-    MutexLock lock(sessions_mu_);
-    session->id = next_session_id_++;
-  }
-  {
-    // Unpublished session: uncontended lock, same as OpenSession.
-    MutexLock session_lock(session->mu);
-    session->engine = std::move(recovered.engine);
-    // The recovered session gets a FRESH log under its new id (header +
-    // replayed appends), so a second crash recovers to exactly this state;
-    // the old log is superseded but left for the operator to remove.
-    AttachSessionLog(*session, recovered.contents.base_fingerprint,
-                     recovered.contents.appends);
-  }
-  {
-    MutexLock lock(sessions_mu_);
-    sessions_.emplace(session->id, session);
-  }
-  return session->id;
+  // The recovered session gets a FRESH log under its new id (header +
+  // replayed appends), so a second crash recovers to exactly this state;
+  // the old log is superseded but left for the operator to remove. The
+  // session keeps the validated config: what the engine was built from.
+  return PublishSession(recovered.contents.dataset, validated,
+                        std::move(recovered.engine),
+                        recovered.contents.base_fingerprint,
+                        recovered.contents.appends);
 }
 
 std::shared_ptr<ExplainService::Session> ExplainService::FindSession(
@@ -665,8 +659,8 @@ bool ExplainService::Append(uint64_t session_id, const std::string& label,
   // New data makes this session's cached explanations stale — and ONLY
   // this session's: the prefix scopes the invalidation, so dataset-level
   // cache entries and other sessions are untouched (tested).
-  cache_.InvalidatePrefix(StrFormat(
-      "session/%llu/", static_cast<unsigned long long>(session_id)));
+  cache_.InvalidatePrefixes({StrFormat(
+      "session/%llu/", static_cast<unsigned long long>(session_id))});
   ServiceMetrics::Get().append_ms.Observe(append_timer.ElapsedMs());
   return true;
 }
@@ -707,32 +701,19 @@ ExplainResponse ExplainService::ExplainSession(uint64_t session_id,
                 static_cast<unsigned long long>(session_id),
                 session->engine->n()) +
       ReportSuffix(include_trendlines, include_k_curve);
-  const int lookup_span = trace ? trace->BeginSpan("cache_lookup") : -1;
-  const ResultCache::ValuePtr hot = cache_.Lookup(cache_key);
-  if (trace) trace->EndSpan(lookup_span);
-  if (hot) {
-    ExplainResponse response = ServedResponse(cache_key, hot,
-                                              /*cache_hit=*/true,
-                                              timer.ElapsedMs());
-    response.admission_outcome = "cache_hit";
-    ServiceMetrics::Get().hot_ms.Observe(response.latency_ms);
-    return FinishTraced(std::move(response), trace, timer.ElapsedMs());
-  }
   // Admission happens while holding the session mutex: every op on one
   // session is serialized anyway (that is the session contract), and the
   // slot taken here is released before any other session op can need it.
-  ExplainResponse response = AdmitAndCompute(
-      cache_key, tenant,
-      ResolveThreadCount(session->config.threads), trace,
-      [&](int granted_threads, QueryTrace* compute_trace, int compute_span,
-          std::string* /*compute_error*/) -> ResultCache::ValuePtr {
-        return RunAndRender(
-            *session->engine,
-            [&] { return session->engine->Explain(granted_threads); },
-            WireReportOptions(include_trendlines, include_k_curve),
-            compute_trace, compute_span, /*build_span=*/-1);
-      });
-  return FinishTraced(std::move(response), trace, timer.ElapsedMs());
+  return Serve(cache_key, tenant, ResolveThreadCount(session->config.threads),
+               trace, timer,
+               [&](int granted_threads, int compute_span,
+                   std::string* /*compute_error*/) -> ResultCache::ValuePtr {
+                 return RunAndRender(
+                     *session->engine,
+                     [&] { return session->engine->Explain(granted_threads); },
+                     WireReportOptions(include_trendlines, include_k_curve),
+                     trace, compute_span, /*build_span=*/-1);
+               });
 }
 
 bool ExplainService::CloseSession(uint64_t session_id) {
@@ -754,8 +735,8 @@ bool ExplainService::CloseSession(uint64_t session_id) {
       std::remove(session->log_path.c_str());
     }
   }
-  cache_.InvalidatePrefix(StrFormat(
-      "session/%llu/", static_cast<unsigned long long>(session_id)));
+  cache_.InvalidatePrefixes({StrFormat(
+      "session/%llu/", static_cast<unsigned long long>(session_id))});
   return true;
 }
 
@@ -925,28 +906,6 @@ bool ExplainService::LoadCache(const std::string& path, std::string* error,
   if (restored) *restored = kept;
   if (fenced) *fenced = dropped;
   return true;
-}
-
-std::future<ExplainResponse> ServiceExecutor::SubmitExplain(
-    ExplainRequest request) {
-  auto promise = std::make_shared<std::promise<ExplainResponse>>();
-  std::future<ExplainResponse> future = promise->get_future();
-  ExplainService* service = &service_;
-  pool_.Submit([service, promise, request = std::move(request)] {
-    promise->set_value(service->Explain(request));
-  });
-  return future;
-}
-
-std::future<ExplainResponse> ServiceExecutor::SubmitSessionExplain(
-    uint64_t session_id) {
-  auto promise = std::make_shared<std::promise<ExplainResponse>>();
-  std::future<ExplainResponse> future = promise->get_future();
-  ExplainService* service = &service_;
-  pool_.Submit([service, promise, session_id] {
-    promise->set_value(service->ExplainSession(session_id));
-  });
-  return future;
 }
 
 }  // namespace tsexplain

@@ -7,10 +7,13 @@
 //   DatasetRegistry  — named immutable tables + hot engines (per engine
 //                      key), built once and reused.
 //   CanonicalizeQuery— stable cache/engine keys (query_key.h).
-//   ResultCache      — sharded LRU + single-flight (result_cache.h).
+//   ResultCache      — sharded, byte-bounded LRU (result_cache.h).
+//   AdmissionController — overload control and the service's only
+//                      single-flight: identical cold queries batch onto
+//                      one in-flight leader (admission.h).
 //   ExplainService   — validation, the explain/recommend entry points,
-//                      and streaming sessions wrapping StreamingTSExplain.
-//   ServiceExecutor  — per-query futures on a shared ThreadPool.
+//                      and streaming sessions wrapping StreamingTSExplain;
+//                      explain and explain_session share one serve path.
 //
 // All entry points are thread-safe; responses carry error codes instead
 // of aborting, so a malformed query can never take the server down (the
@@ -27,14 +30,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/common/mutex.h"
-#include "src/common/thread_pool.h"
+#include "src/common/timer.h"
 #include "src/common/trace.h"
 #include "src/pipeline/recommend.h"
 #include "src/pipeline/report_json.h"
@@ -273,19 +275,33 @@ class ExplainService {
                         const std::vector<storage::SessionLogAppend>& replayed)
       TSE_REQUIRES(session.mu);
 
-  /// Runs the admission + single-flight compute for one (cold) cache
-  /// key; shared by Explain and ExplainSession. `trace` may be null;
-  /// when set, admission waits and the compute get spans, and the
-  /// compute callback receives the trace plus its "compute" span index
-  /// so it can graft engine-phase children under it (the callback only
-  /// runs on the single-flight leader, which is exactly the request
-  /// whose trace can see inside the computation).
-  ExplainResponse AdmitAndCompute(
-      const std::string& cache_key, const std::string& tenant,
-      int requested_threads, QueryTrace* trace,
-      const std::function<ResultCache::ValuePtr(
-          int granted_threads, QueryTrace* trace, int compute_span,
-          std::string* error)>& compute);
+  /// Creates a session around `engine`, installs its crash-recovery log
+  /// (header plus the `replayed` appends) and publishes it; returns the
+  /// new session id. Shared by OpenSession and RecoverSession.
+  uint64_t PublishSession(
+      std::string dataset, TSExplainConfig config,
+      std::unique_ptr<StreamingTSExplain> engine, uint64_t base_fingerprint,
+      const std::vector<storage::SessionLogAppend>& replayed)
+      TSE_EXCLUDES(sessions_mu_);
+
+  /// Computes a cold cache value with the admission-granted thread count.
+  /// `compute_span` is the request's "compute" span (-1 untraced), under
+  /// which the callback grafts the engine's spans. Returns nullptr (and
+  /// may set `error`) on failure.
+  using ComputeFn = std::function<ResultCache::ValuePtr(
+      int granted_threads, int compute_span, std::string* error)>;
+
+  /// The one serve path of Explain and ExplainSession. A resident value
+  /// is served at once, without admission. A cold key passes the
+  /// AdmissionController: it is shed, batched onto an identical in-flight
+  /// leader (and served the leader's value), or admitted, in which case
+  /// `compute` runs and its value is cached. `trace` may be null; when
+  /// set, the lookup, admission wait and compute get spans. The response
+  /// carries the request's latency from `timer` and the finalized trace.
+  ExplainResponse Serve(const std::string& cache_key,
+                        const std::string& tenant, int requested_threads,
+                        QueryTrace* trace, const Timer& timer,
+                        const ComputeFn& compute);
 
   DatasetRegistry registry_;
   ResultCache cache_;
@@ -302,24 +318,6 @@ class ExplainService {
   uint64_t next_session_id_ TSE_GUARDED_BY(sessions_mu_) = 1;
   std::map<uint64_t, std::shared_ptr<Session>> sessions_
       TSE_GUARDED_BY(sessions_mu_);
-};
-
-/// Per-query futures on a shared ThreadPool: the serving layer submits
-/// requests and multiplexes completions without a thread per client.
-class ServiceExecutor {
- public:
-  explicit ServiceExecutor(ExplainService& service,
-                           ThreadPool& pool = ThreadPool::Shared())
-      : service_(service), pool_(pool) {}
-
-  std::future<ExplainResponse> SubmitExplain(ExplainRequest request);
-  std::future<ExplainResponse> SubmitSessionExplain(uint64_t session_id);
-
-  ThreadPool& pool() { return pool_; }
-
- private:
-  ExplainService& service_;
-  ThreadPool& pool_;
 };
 
 }  // namespace tsexplain

@@ -851,8 +851,6 @@ OpStatus OpStats(const OpCall& call, JsonWriter& json) {
   json.Int(counter("cache.hits"));
   json.Key("misses");
   json.Int(counter("cache.misses"));
-  json.Key("coalesced");
-  json.Int(counter("cache.coalesced"));
   json.Key("evictions");
   json.Int(counter("cache.evictions"));
   json.Key("budget_evictions");

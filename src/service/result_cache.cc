@@ -32,8 +32,6 @@ size_t RoundUpPow2(size_t v) {
 struct CacheMetrics {
   Counter& hits = MetricRegistry::Global().GetCounter("cache.hits");
   Counter& misses = MetricRegistry::Global().GetCounter("cache.misses");
-  Counter& coalesced =
-      MetricRegistry::Global().GetCounter("cache.coalesced");
   Counter& evictions =
       MetricRegistry::Global().GetCounter("cache.evictions");
   Counter& budget_evictions =
@@ -125,6 +123,38 @@ void ResultCache::RemoveEntryLocked(
   shard.entries.erase(it);
 }
 
+ResultCache::ValuePtr ResultCache::TouchLocked(Shard& shard,
+                                               const std::string& key) {
+  auto it = shard.entries.find(key);
+  if (it == shard.entries.end()) return nullptr;
+  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
+  ++shard.hits;
+  CacheMetrics::Get().hits.Inc();
+  return it->second.value;
+}
+
+void ResultCache::EvictOverBudgetLocked(Shard& shard,
+                                        const BudgetList& budgets,
+                                        size_t b) {
+  // A back-to-front walk restricted to this budget preserves LRU order
+  // within the prefix. Other namespaces' entries are untouchable here —
+  // that is the isolation property.
+  auto lit = shard.lru.end();
+  while (shard.budget_bytes[b] > budgets[b].per_shard &&
+         lit != shard.lru.begin()) {
+    --lit;
+    auto vit = shard.entries.find(*lit);
+    TSE_CHECK(vit != shard.entries.end());
+    if (vit->second.budget != static_cast<int>(b)) continue;
+    ++lit;  // step past the entry RemoveEntryLocked unlinks
+    RemoveEntryLocked(shard, vit);
+    ++shard.evictions;
+    ++shard.budget_evictions;
+    CacheMetrics::Get().evictions.Inc();
+    CacheMetrics::Get().budget_evictions.Inc();
+  }
+}
+
 void ResultCache::InsertLocked(Shard& shard, const BudgetList& budgets,
                                const std::string& key,
                                const ValuePtr& value) {
@@ -158,27 +188,7 @@ void ResultCache::InsertLocked(Shard& shard, const BudgetList& budgets,
   if (budget >= 0) {
     const size_t b = static_cast<size_t>(budget);
     shard.budget_bytes[b] += cost;
-    // Prefix budget: evict the namespace's own LRU tail (a back-to-front
-    // walk restricted to this budget preserves LRU order within the
-    // prefix). Other namespaces' entries are untouchable here — that is
-    // the isolation property.
-    while (shard.budget_bytes[b] > budgets[b].per_shard) {
-      bool evicted = false;
-      for (auto lit = shard.lru.rbegin(); lit != shard.lru.rend(); ++lit) {
-        auto vit = shard.entries.find(*lit);
-        TSE_CHECK(vit != shard.entries.end());
-        if (vit->second.budget == budget) {
-          RemoveEntryLocked(shard, vit);
-          ++shard.evictions;
-          ++shard.budget_evictions;
-          CacheMetrics::Get().evictions.Inc();
-          CacheMetrics::Get().budget_evictions.Inc();
-          evicted = true;
-          break;
-        }
-      }
-      if (!evicted) break;  // unreachable if accounting is exact
-    }
+    EvictOverBudgetLocked(shard, budgets, b);
   }
   while (shard.bytes_used > capacity_per_shard_ && !shard.lru.empty()) {
     auto vit = shard.entries.find(shard.lru.back());
@@ -193,63 +203,25 @@ ResultCache::ValuePtr ResultCache::GetOrCompute(const std::string& key,
                                                 const ComputeFn& compute,
                                                 bool* was_hit) {
   Shard& shard = ShardFor(key);
-  std::shared_ptr<Flight> flight;
-  bool leader = false;
   {
     MutexLock lock(shard.mu);
-    auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) {
-      // Touch: move to the LRU front.
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
-      ++shard.hits;
-      CacheMetrics::Get().hits.Inc();
+    if (ValuePtr value = TouchLocked(shard, key)) {
       if (was_hit) *was_hit = true;
-      return it->second.value;
+      return value;
     }
-    auto fit = shard.inflight.find(key);
-    if (fit != shard.inflight.end()) {
-      flight = fit->second;
-      ++shard.coalesced;
-      CacheMetrics::Get().coalesced.Inc();
-    } else {
-      flight = std::make_shared<Flight>();
-      flight->future = flight->promise.get_future().share();
-      shard.inflight.emplace(key, flight);
-      leader = true;
-      ++shard.misses;
-      CacheMetrics::Get().misses.Inc();
-    }
+    ++shard.misses;
+    CacheMetrics::Get().misses.Inc();
   }
-
-  if (!leader) {
-    if (was_hit) *was_hit = true;  // another thread's work served us
-    return flight->future.get();
-  }
-
   if (was_hit) *was_hit = false;
   ValuePtr value = compute();  // outside the lock: may be seconds long
-  if (value) {
-    const BudgetsPtr budgets = SnapshotBudgets();
-    MutexLock lock(shard.mu);
-    shard.inflight.erase(key);
-    InsertLocked(shard, *budgets, key, value);
-  } else {
-    MutexLock lock(shard.mu);
-    shard.inflight.erase(key);
-  }
-  flight->promise.set_value(value);
+  if (value) Put(key, value);
   return value;
 }
 
 ResultCache::ValuePtr ResultCache::Lookup(const std::string& key) {
   Shard& shard = ShardFor(key);
   MutexLock lock(shard.mu);
-  auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) return nullptr;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
-  ++shard.hits;
-  CacheMetrics::Get().hits.Inc();
-  return it->second.value;
+  return TouchLocked(shard, key);
 }
 
 void ResultCache::Put(const std::string& key, const ValuePtr& value) {
@@ -304,54 +276,8 @@ void ResultCache::SetPrefixBudget(const std::string& prefix,
         shard.budget_bytes[static_cast<size_t>(match)] += entry.cost;
       }
     }
-    while (shard.budget_bytes[b] > budgets[b].per_shard) {
-      bool evicted = false;
-      for (auto lit = shard.lru.rbegin(); lit != shard.lru.rend(); ++lit) {
-        auto vit = shard.entries.find(*lit);
-        TSE_CHECK(vit != shard.entries.end());
-        if (vit->second.budget == index) {
-          RemoveEntryLocked(shard, vit);
-          ++shard.evictions;
-          ++shard.budget_evictions;
-          CacheMetrics::Get().evictions.Inc();
-          CacheMetrics::Get().budget_evictions.Inc();
-          evicted = true;
-          break;
-        }
-      }
-      if (!evicted) break;  // unreachable if accounting is exact
-    }
+    EvictOverBudgetLocked(shard, budgets, b);
   }
-}
-
-size_t ResultCache::PrefixBytes(const std::string& prefix) const {
-  int index = -1;
-  {
-    MutexLock lock(budgets_mu_);
-    for (size_t b = 0; b < budgets_->size(); ++b) {
-      if ((*budgets_)[b].prefix == prefix) index = static_cast<int>(b);
-    }
-  }
-  size_t total = 0;
-  if (index >= 0) {
-    for (const auto& shard_ptr : shards_) {
-      const Shard& shard = *shard_ptr;
-      MutexLock lock(shard.mu);
-      if (static_cast<size_t>(index) < shard.budget_bytes.size()) {
-        total += shard.budget_bytes[static_cast<size_t>(index)];
-      }
-    }
-    return total;
-  }
-  // Unbudgeted prefix: full scan (stats-only path, rare).
-  for (const auto& shard_ptr : shards_) {
-    const Shard& shard = *shard_ptr;
-    MutexLock lock(shard.mu);
-    for (const auto& [key, entry] : shard.entries) {
-      if (key.compare(0, prefix.size(), prefix) == 0) total += entry.cost;
-    }
-  }
-  return total;
 }
 
 std::vector<size_t> ResultCache::PrefixBytesMany(
@@ -408,20 +334,6 @@ ResultCache::ExportEntries() const {
   return out;
 }
 
-void ResultCache::Invalidate(const std::string& key) {
-  Shard& shard = ShardFor(key);
-  MutexLock lock(shard.mu);
-  auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) return;
-  RemoveEntryLocked(shard, it);
-  ++shard.invalidations;
-  CacheMetrics::Get().invalidations.Inc();
-}
-
-size_t ResultCache::InvalidatePrefix(const std::string& prefix) {
-  return InvalidatePrefixes({prefix});
-}
-
 size_t ResultCache::InvalidatePrefixes(
     const std::vector<std::string>& prefixes) {
   size_t removed = 0;
@@ -458,7 +370,6 @@ ResultCache::Stats ResultCache::stats() const {
     MutexLock lock(shard.mu);
     stats.hits += shard.hits;
     stats.misses += shard.misses;
-    stats.coalesced += shard.coalesced;
     stats.evictions += shard.evictions;
     stats.budget_evictions += shard.budget_evictions;
     stats.invalidations += shard.invalidations;

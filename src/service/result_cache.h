@@ -1,4 +1,4 @@
-// Sharded LRU result cache with single-flight computation deduplication.
+// Sharded, byte-bounded LRU result cache.
 //
 // Keys are canonical query keys (see query_key.h); values are immutable
 // computed results shared out by shared_ptr, so eviction never invalidates
@@ -6,19 +6,17 @@
 // list, and byte accounting; a key's shard is a hash of the key, so
 // unrelated queries do not contend.
 //
-// Single-flight: when N threads ask for the same missing key
-// concurrently, exactly one (the leader) runs the compute function; the
-// rest block on a shared_future and receive the leader's value. The
-// compute runs OUTSIDE the shard lock, so long computations never block
-// unrelated cache traffic. A compute returning nullptr signals
-// "failed, do not cache": waiters get the nullptr too, and the next
-// request starts a fresh flight.
+// The cache does not deduplicate concurrent misses: two callers that
+// miss the same key at once both compute it. In the service that never
+// happens, because the AdmissionController (admission.h) parks duplicate
+// cold queries on the in-flight leader until its value is inserted here.
+// Computations run OUTSIDE the shard lock, so long computations never
+// block unrelated cache traffic.
 
 #ifndef TSEXPLAIN_SERVICE_RESULT_CACHE_H_
 #define TSEXPLAIN_SERVICE_RESULT_CACHE_H_
 
 #include <functional>
-#include <future>
 #include <list>
 #include <memory>
 #include <string>
@@ -50,9 +48,8 @@ class ResultCache {
   using ComputeFn = std::function<ValuePtr()>;
 
   struct Stats {
-    size_t hits = 0;         // served from a completed entry
-    size_t misses = 0;       // led a computation
-    size_t coalesced = 0;    // waited on another thread's computation
+    size_t hits = 0;         // served from a resident entry
+    size_t misses = 0;       // ran a computation
     size_t evictions = 0;    // entries removed to respect capacity
     size_t budget_evictions = 0;  // subset of evictions: prefix budgets
     size_t invalidations = 0;
@@ -70,19 +67,20 @@ class ResultCache {
   /// not leave the process-wide registry drifting.
   ~ResultCache();
 
-  /// Returns the cached value for `key`, computing it single-flight on a
-  /// miss. `was_hit` (optional) reports whether this call avoided running
-  /// `compute` itself (fresh hit or coalesced onto a concurrent flight).
+  /// Returns the cached value for `key`; on a miss, counts one miss,
+  /// runs `compute` outside the shard lock and inserts its value (a
+  /// nullptr is returned but not cached). `was_hit` (optional) reports
+  /// whether the value was already resident.
   ValuePtr GetOrCompute(const std::string& key, const ComputeFn& compute,
                         bool* was_hit = nullptr);
 
   /// Hit-only probe: the resident value (LRU-touched, counted as a hit)
-  /// or nullptr, never starting a flight. The service's fast path uses
-  /// this so hot requests bypass admission control entirely.
+  /// or nullptr, never computing. The service's fast path uses this so
+  /// hot requests bypass admission control entirely.
   ValuePtr Lookup(const std::string& key);
 
   /// Direct insert/overwrite with the same accounting and eviction as a
-  /// completed flight: overwriting never double-charges `bytes_used`,
+  /// computed miss: overwriting never double-charges `bytes_used`,
   /// and an oversized value drops any stale resident entry rather than
   /// leaving it to be served. Used for warm-starts and tests.
   void Put(const std::string& key, const ValuePtr& value);
@@ -97,13 +95,6 @@ class ResultCache {
   /// are re-attributed (and possibly evicted) immediately.
   void SetPrefixBudget(const std::string& prefix, size_t budget_bytes);
 
-  /// Resident bytes currently under `prefix`. For a registered budget
-  /// prefix this is O(shards) accounting reads; for any other prefix it
-  /// falls back to one full scan (the operator-facing stats op asks for
-  /// tenant namespaces whether or not budgets are configured — rare
-  /// enough that the scan is acceptable, like InvalidatePrefix).
-  size_t PrefixBytes(const std::string& prefix) const;
-
   /// Resident bytes for SEVERAL disjoint prefixes in one pass (an entry
   /// is charged to the first prefix that matches). The stats op asks for
   /// every tenant namespace at once; one O(entries) scan replaces
@@ -117,22 +108,11 @@ class ResultCache {
   /// persistence layer's export hook; O(entries).
   std::vector<std::pair<std::string, ValuePtr>> ExportEntries() const;
 
-  /// Drops one key (no-op when absent). In-flight computations are not
-  /// interrupted, but their value will land AFTER the invalidation and
-  /// may be re-evicted by a later invalidation only; callers that need
-  /// strict fencing should invalidate after the flight completes (the
-  /// service's session mutex provides exactly that ordering).
-  void Invalidate(const std::string& key);
-
-  /// Drops every resident entry whose key starts with `prefix`; returns
-  /// the number removed. Used by streaming sessions ("session/<id>/...")
-  /// and dataset eviction ("...|ds=<name>|...") — rare operations, so the
-  /// full scan is acceptable.
-  size_t InvalidatePrefix(const std::string& prefix);
-
-  /// Same, for several prefixes in ONE full scan (dataset drops must
-  /// clear the shared namespace plus every tenant namespace; one pass
-  /// visits each entry once instead of once per prefix).
+  /// Drops every resident entry whose key starts with any of `prefixes`
+  /// in ONE full scan; returns the number removed. Used by streaming
+  /// sessions ("session/<id>/") and dataset drops (the shared namespace
+  /// plus every tenant namespace) — rare operations, so the scan is
+  /// acceptable.
   size_t InvalidatePrefixes(const std::vector<std::string>& prefixes);
 
   Stats stats() const;
@@ -144,22 +124,15 @@ class ResultCache {
     int budget = -1;  // index into the budget list; -1 = unbudgeted
     std::list<std::string>::iterator lru_pos;
   };
-  struct Flight {
-    std::promise<ValuePtr> promise;
-    std::shared_future<ValuePtr> future;
-  };
   struct Shard {
     mutable Mutex mu;
     std::unordered_map<std::string, Entry> entries TSE_GUARDED_BY(mu);
     std::list<std::string> lru TSE_GUARDED_BY(mu);  // front = most recent
-    std::unordered_map<std::string, std::shared_ptr<Flight>> inflight
-        TSE_GUARDED_BY(mu);
     size_t bytes_used TSE_GUARDED_BY(mu) = 0;
     // Parallel to the budget list.
     std::vector<size_t> budget_bytes TSE_GUARDED_BY(mu);
     size_t hits TSE_GUARDED_BY(mu) = 0;
     size_t misses TSE_GUARDED_BY(mu) = 0;
-    size_t coalesced TSE_GUARDED_BY(mu) = 0;
     size_t evictions TSE_GUARDED_BY(mu) = 0;
     size_t budget_evictions TSE_GUARDED_BY(mu) = 0;
     size_t invalidations TSE_GUARDED_BY(mu) = 0;
@@ -179,6 +152,14 @@ class ResultCache {
   static void RemoveEntryLocked(
       Shard& shard, std::unordered_map<std::string, Entry>::iterator it)
       TSE_REQUIRES(shard.mu);
+  // The resident value for `key` (LRU-touched, counted as a hit) or
+  // nullptr.
+  static ValuePtr TouchLocked(Shard& shard, const std::string& key)
+      TSE_REQUIRES(shard.mu);
+  // Evicts budget `b`'s own entries, least recently used first, until the
+  // shard's bytes under that budget fit it again.
+  static void EvictOverBudgetLocked(Shard& shard, const BudgetList& budgets,
+                                    size_t b) TSE_REQUIRES(shard.mu);
   // Inserts under the shard lock, evicting (budget-scoped first, then
   // global LRU) until all bounds hold again.
   void InsertLocked(Shard& shard, const BudgetList& budgets,

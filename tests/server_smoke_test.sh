@@ -20,10 +20,15 @@
 #     a traced cold explain (new engine) shows the engine's own layers
 #     under engine_run (tiling it), each build layer exactly once under
 #     engine_build, and no engine span named like a service span
+#   - pipe mode bounds request lines like TCP: a valid 6 MiB request
+#     draws ONE structured "exceeds" error and the next request is
+#     answered; a final request without a newline is answered at EOF
 #   - TCP mode (with the overload flags set): a request dribbled
 #     byte-by-byte across many tiny writes still parses (recv-boundary
 #     handling), a multi-MB garbage line draws ONE structured error and
-#     leaves the connection usable, and stats exposes admission counters
+#     leaves the connection usable, a final request without a newline is
+#     answered when the client half-closes, and stats exposes admission
+#     counters
 #   - warm restart: a server run with --cache-save/--session-log-dir is
 #     stopped and a NEW process started with --cache-load — the first
 #     post-restart query must be a cache hit (byte-identical result), and
@@ -131,6 +136,32 @@ echo "$STATS" | grep -q '"misses":2' || fail single_flight "$STATS"
 echo "$STATS" | grep -q '"datasets":1' || fail stats_datasets "$STATS"
 echo "$STATS" | grep -q '"open_sessions":1' || fail stats_sessions "$STATS"
 response_for 16 "$OUT" | grep -q '"op":"shutdown"' || fail shutdown "$(response_for 16 "$OUT")"
+
+# --- Pipe mode: request-line bound, final unterminated line ---------------
+# Pipe mode reads through the same line framer as TCP: a VALID request
+# padded to 6 MiB draws exactly one structured parse_error ("exceeds")
+# and the stream stays in sync; a last request with no trailing newline
+# is still answered at EOF.
+BIG="$TMPDIR_SMOKE/big.ndjson"
+{
+  printf '%s' '{"op":"list_datasets","id":200,"pad":"'
+  head -c $((6 * 1024 * 1024)) /dev/zero | tr '\0' 'x'
+  printf '%s\n' '"}'
+  printf '%s\n' '{"op":"list_datasets","id":201}'
+  printf '%s' '{"op":"list_datasets","id":202}'
+} >"$BIG"
+BIG_OUT="$TMPDIR_SMOKE/big_responses.ndjson"
+if ! "$SERVE" <"$BIG" >"$BIG_OUT" 2>"$TMPDIR_SMOKE/big.err"; then
+  fail pipe_big_exit "server exited non-zero"
+  cat "$TMPDIR_SMOKE/big.err" >&2
+fi
+big_errors=$(grep -c '"code":"parse_error"' "$BIG_OUT")
+[ "$big_errors" -eq 1 ] || fail pipe_big_line "expected 1 parse_error, got $big_errors"
+grep '"code":"parse_error"' "$BIG_OUT" | grep -q 'exceeds' || fail pipe_big_message "$(cut -c1-200 "$BIG_OUT")"
+big_lines=$(wc -l <"$BIG_OUT")
+[ "$big_lines" -eq 3 ] || fail pipe_big_count "expected 3 responses, got $big_lines"
+response_for 201 "$BIG_OUT" | grep -q '"ok":true' || fail pipe_after_big "$(response_for 201 "$BIG_OUT")"
+response_for 202 "$BIG_OUT" | grep -q '"ok":true' || fail pipe_final_line "$(response_for 202 "$BIG_OUT")"
 
 # --- Observability: metrics op + per-query trace spans ---------------------
 # The before/after scrapes bracket the explain burst: every counter must
@@ -270,6 +301,24 @@ else
   read -r -t 30 RESP <&3
   echo "$RESP" | grep -q '"id":102,"ok":true' || fail tcp_alive_after_garbage "$RESP"
   echo "$RESP" | grep -q '"cache_hit":true' || fail tcp_cache_after_garbage "$RESP"
+
+  # A second connection sends its last request with no newline and
+  # half-closes: the request is still answered before the server closes.
+  FINAL=$(python3 - "$TCP_PORT" <<'PYEOF'
+import socket, sys
+s = socket.create_connection(("127.0.0.1", int(sys.argv[1])), timeout=30)
+s.sendall(b'{"op":"list_datasets","id":105}')
+s.shutdown(socket.SHUT_WR)
+data = b""
+while True:
+    chunk = s.recv(65536)
+    if not chunk:
+        break
+    data += chunk
+print(data.decode().strip())
+PYEOF
+)
+  echo "$FINAL" | grep -q '"id":105,"ok":true' || fail tcp_final_line "$FINAL"
 
   # Stats exposes the admission/tenant counters; shutdown stops the
   # server cleanly.

@@ -1,12 +1,11 @@
 // ResultCache contract: LRU eviction + byte accounting, invalidation
-// scoping, and single-flight deduplication under concurrency.
+// scoping, and per-prefix budgets. Duplicate suppression under
+// concurrency is the AdmissionController's job (test_admission.cc,
+// test_service.cc).
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/service/result_cache.h"
@@ -86,21 +85,6 @@ TEST(ResultCache, OversizedValueIsServedButNotCached) {
   EXPECT_EQ(cache.stats().bytes_used, 0u);
 }
 
-TEST(ResultCache, InvalidateRemovesOnlyTheKey) {
-  ResultCache cache(1 << 20, 1);
-  auto compute = [] { return MakeValue("p"); };
-  bool hit = false;
-  cache.GetOrCompute("keep", compute, &hit);
-  cache.GetOrCompute("drop", compute, &hit);
-  cache.Invalidate("drop");
-  cache.Invalidate("never-existed");  // no-op
-  cache.GetOrCompute("keep", compute, &hit);
-  EXPECT_TRUE(hit);
-  cache.GetOrCompute("drop", compute, &hit);
-  EXPECT_FALSE(hit);
-  EXPECT_EQ(cache.stats().invalidations, 1u);
-}
-
 TEST(ResultCache, InvalidatePrefixScopes) {
   // Many shards: the scan must cover all of them.
   ResultCache cache(1 << 20, 8);
@@ -110,7 +94,8 @@ TEST(ResultCache, InvalidatePrefixScopes) {
     cache.GetOrCompute("session/7/q" + std::to_string(i), compute, &hit);
     cache.GetOrCompute("session/8/q" + std::to_string(i), compute, &hit);
   }
-  EXPECT_EQ(cache.InvalidatePrefix("session/7/"), 16u);
+  EXPECT_EQ(cache.InvalidatePrefixes({"session/7/"}), 16u);
+  EXPECT_EQ(cache.stats().invalidations, 16u);
   for (int i = 0; i < 16; ++i) {
     cache.GetOrCompute("session/8/q" + std::to_string(i), compute, &hit);
     EXPECT_TRUE(hit);
@@ -119,7 +104,7 @@ TEST(ResultCache, InvalidatePrefixScopes) {
   }
 }
 
-// Regression: overwriting a resident key (a completed flight landing
+// Regression: overwriting a resident key (a computed value landing
 // after prefix-invalidation races, warm-start Puts) must charge
 // bytes_used for exactly the resident entries — never the sum of old and
 // new costs — and eviction must never run against the replaced entry's
@@ -182,13 +167,13 @@ TEST(ResultCache, PrefixBudgetEvictsWithinTheNamespaceOnly) {
   cache.GetOrCompute("tenant/a/q2", compute, &hit);
   cache.GetOrCompute("tenant/a/q3", compute, &hit);
   EXPECT_EQ(cache.stats().entries, 4u);
-  EXPECT_EQ(cache.PrefixBytes("tenant/a/"), 3 * cost);
+  EXPECT_EQ(cache.PrefixBytesMany({"tenant/a/"})[0], 3 * cost);
 
   // A fourth tenant entry evicts the tenant's own LRU tail (q1) — the
   // global entry is untouchable by this namespace's pressure.
   cache.GetOrCompute("tenant/a/q4", compute, &hit);
   EXPECT_EQ(cache.stats().entries, 4u);
-  EXPECT_EQ(cache.PrefixBytes("tenant/a/"), 3 * cost);
+  EXPECT_EQ(cache.PrefixBytesMany({"tenant/a/"})[0], 3 * cost);
   EXPECT_EQ(cache.stats().budget_evictions, 1u);
   EXPECT_NE(cache.Lookup("global-1"), nullptr);
   EXPECT_EQ(cache.Lookup("tenant/a/q1"), nullptr);
@@ -224,7 +209,7 @@ TEST(ResultCache, ValueOverItsPrefixBudgetIsServedNotCached) {
   ASSERT_NE(value, nullptr);
   EXPECT_FALSE(hit);
   EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.PrefixBytes("tenant/tiny/"), 0u);
+  EXPECT_EQ(cache.PrefixBytesMany({"tenant/tiny/"})[0], 0u);
 }
 
 TEST(ResultCache, ShrinkingABudgetEvictsResidentEntriesImmediately) {
@@ -237,18 +222,40 @@ TEST(ResultCache, ShrinkingABudgetEvictsResidentEntriesImmediately) {
   cache.GetOrCompute("tenant/a/q1", compute, &hit);
   cache.GetOrCompute("tenant/a/q2", compute, &hit);
   cache.GetOrCompute("tenant/a/q3", compute, &hit);
-  // No budget registered yet: PrefixBytes falls back to a full scan and
-  // reports the actual resident bytes (the operator-facing stats path).
-  EXPECT_EQ(cache.PrefixBytes("tenant/a/"), 3 * cost);
+  // No budget registered yet: PrefixBytesMany falls back to a full scan
+  // and reports the actual resident bytes (the operator-facing stats
+  // path).
+  EXPECT_EQ(cache.PrefixBytesMany({"tenant/a/"})[0], 3 * cost);
 
   // Installing the budget re-attributes resident entries and enforces
   // the bound at once (LRU within the prefix: q1 goes first).
   cache.SetPrefixBudget("tenant/a/", 2 * cost);
-  EXPECT_EQ(cache.PrefixBytes("tenant/a/"), 2 * cost);
+  EXPECT_EQ(cache.PrefixBytesMany({"tenant/a/"})[0], 2 * cost);
   EXPECT_EQ(cache.Lookup("tenant/a/q1"), nullptr);
   EXPECT_NE(cache.Lookup("tenant/a/q2"), nullptr);
   EXPECT_NE(cache.Lookup("tenant/a/q3"), nullptr);
   EXPECT_EQ(cache.stats().bytes_used, 2 * cost);
+}
+
+// Budget eviction walks the LRU list from the tail and removes only the
+// budget's own entries, as many as it takes, stepping over other
+// namespaces' entries in between.
+TEST(ResultCache, BudgetEvictionSkipsOtherNamespaces) {
+  const std::string payload(1000, 'x');
+  const size_t cost = CostOf(payload);
+  ResultCache cache(100 * cost, 1);
+  for (const char* key : {"tenant/a/q1", "global-1", "tenant/a/q2",
+                          "global-2", "tenant/a/q3"}) {
+    cache.Put(key, MakeValue(payload));
+  }
+  cache.SetPrefixBudget("tenant/a/", cost);
+  EXPECT_EQ(cache.stats().budget_evictions, 2u);
+  EXPECT_EQ(cache.Lookup("tenant/a/q1"), nullptr);
+  EXPECT_EQ(cache.Lookup("tenant/a/q2"), nullptr);
+  EXPECT_NE(cache.Lookup("tenant/a/q3"), nullptr);
+  EXPECT_NE(cache.Lookup("global-1"), nullptr);
+  EXPECT_NE(cache.Lookup("global-2"), nullptr);
+  EXPECT_EQ(cache.stats().bytes_used, 3 * cost);
 }
 
 TEST(ResultCache, FailedComputeIsNotCached) {
@@ -263,49 +270,6 @@ TEST(ResultCache, FailedComputeIsNotCached) {
       cache.GetOrCompute("k", [] { return MakeValue("p"); }, &hit);
   ASSERT_NE(ok, nullptr);
   EXPECT_FALSE(hit);
-}
-
-TEST(ResultCache, SingleFlightUnderConcurrentIdenticalQueries) {
-  ResultCache cache(1 << 20, 8);
-  std::atomic<int> computes{0};
-
-  constexpr int kThreads = 8;
-  constexpr int kRounds = 25;
-  std::vector<std::thread> threads;
-  std::vector<int> non_hits(kThreads, 0);
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int round = 0; round < kRounds; ++round) {
-        const std::string key = "query-" + std::to_string(round);
-        bool hit = false;
-        const ResultCache::ValuePtr value = cache.GetOrCompute(
-            key,
-            [&] {
-              computes.fetch_add(1);
-              // Give other threads time to pile onto this flight.
-              std::this_thread::sleep_for(std::chrono::milliseconds(2));
-              return MakeValue("value-" + key);
-            },
-            &hit);
-        ASSERT_NE(value, nullptr);
-        EXPECT_EQ(value->json, "value-" + key);
-        if (!hit) ++non_hits[static_cast<size_t>(t)];
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-
-  // Exactly one computation per distinct key, no matter how many threads
-  // raced; and never two flights for the same key at once.
-  EXPECT_EQ(computes.load(), kRounds);
-  const ResultCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.misses, static_cast<size_t>(kRounds));
-  EXPECT_EQ(stats.hits + stats.coalesced,
-            static_cast<size_t>(kThreads * kRounds - kRounds));
-  int total_non_hits = 0;
-  for (int count : non_hits) total_non_hits += count;
-  EXPECT_EQ(total_non_hits, kRounds);
 }
 
 }  // namespace

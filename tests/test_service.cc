@@ -1,7 +1,8 @@
 // End-to-end coverage of the explanation service (src/service/): dataset
 // registry, cached + concurrent explains bit-identical to direct
-// TSExplain::Run, single-flight behavior at the service level, streaming
-// sessions with scoped cache invalidation, and the executor futures.
+// TSExplain::Run, single-flight behavior at the service level (the
+// AdmissionController batches identical cold queries), and streaming
+// sessions with scoped cache invalidation.
 
 #include <gtest/gtest.h>
 
@@ -349,34 +350,45 @@ TEST(ExplainServiceTest, ConcurrentMixedQueriesBitIdenticalToSerial) {
   }
 
   // The cache served most of the traffic: at most one computation per
-  // distinct query key (5 distinct keys among 6 variants).
+  // distinct query key (5 distinct keys among 6 variants). Requests
+  // batched onto an in-flight leader are served by a cache Lookup, so
+  // they count as hits.
   const ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.cache.misses, 5u);
-  EXPECT_GE(stats.cache.hits + stats.cache.coalesced,
+  EXPECT_GE(stats.cache.hits,
             static_cast<size_t>(kThreads * kRounds + 2 - 5));
   // The k-variants shared one hot engine; m/diff-metric got their own.
   EXPECT_EQ(stats.hot_engines, 3u);
-}
 
-TEST(ExplainServiceTest, ExecutorFuturesDeliver) {
-  ExplainService service;
-  std::string error;
-  ASSERT_TRUE(service.registry().RegisterTable("ds", MakeTable(13),
-                                               "<table>", &error));
-  ServiceExecutor executor(service);
-  std::vector<std::future<ExplainResponse>> futures;
-  for (int i = 0; i < 8; ++i) {
-    ExplainRequest request;
-    request.dataset = "ds";
-    request.config = BaseConfig();
-    request.config.fixed_k = 2 + (i % 3);
-    futures.push_back(executor.SubmitExplain(std::move(request)));
+  // All-identical round: kIdentical threads released together on one
+  // cold key (a new engine, so the leader computes long enough for the
+  // rest to arrive). Admission lets exactly one of them compute, and
+  // every response carries the same bytes.
+  TSExplainConfig cold = BaseConfig();
+  cold.m = 4;
+  const TSExplainResult cold_expected = TSExplain(*table, cold).Run();
+  constexpr int kIdentical = 8;
+  std::atomic<bool> go{false};
+  std::vector<ExplainResponse> identical(kIdentical);
+  std::vector<std::thread> racers;
+  racers.reserve(kIdentical);
+  for (int t = 0; t < kIdentical; ++t) {
+    racers.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      ExplainRequest request;
+      request.dataset = "ds";
+      request.config = cold;
+      identical[static_cast<size_t>(t)] = service.Explain(request);
+    });
   }
-  for (auto& future : futures) {
-    const ExplainResponse response = future.get();
+  go.store(true);
+  for (std::thread& racer : racers) racer.join();
+  for (const ExplainResponse& response : identical) {
     ASSERT_TRUE(response.ok) << response.error;
-    EXPECT_FALSE(response.json.empty());
+    EXPECT_EQ(response.json, identical[0].json);
+    ExpectIdenticalResults(*response.result, cold_expected);
   }
+  EXPECT_EQ(service.Stats().cache.misses - stats.cache.misses, 1u);
 }
 
 TEST(ExplainServiceTest, SessionAppendInvalidatesOnlyThatSession) {

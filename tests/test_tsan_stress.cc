@@ -72,7 +72,7 @@ TEST(TsanStressTest, ResultCacheConcurrentMix) {
             });
             break;
           case 3:
-            cache.Invalidate(key);
+            cache.InvalidatePrefixes({key});
             break;
           default:
             if (i % 97 == 0) {
@@ -90,7 +90,7 @@ TEST(TsanStressTest, ResultCacheConcurrentMix) {
 
   const ResultCache::Stats stats = cache.stats();
   EXPECT_LE(stats.bytes_used, stats.capacity_bytes);
-  EXPECT_EQ(stats.misses, computed.load());  // single-flight held up
+  EXPECT_EQ(stats.misses, computed.load());  // one computation per miss
 }
 
 TEST(TsanStressTest, AdmissionAdmitShedReleaseChurn) {

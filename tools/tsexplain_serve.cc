@@ -13,7 +13,7 @@
 // op table (ProtocolHandler::DispatchOf, src/service/protocol.h). Read ops
 // fan out to the shared thread pool, so slow cold queries never block
 // cache hits behind them; identical concurrent queries collapse to one
-// computation (single-flight) inside the service. Barrier ops first wait
+// computation in the service's AdmissionController. Barrier ops first wait
 // for every dispatched read, then run inline on the reader thread —
 // mutations and counter reads therefore observe a settled state in
 // submission order. healthz answers inline without waiting.
@@ -78,7 +78,6 @@
 #include <cstdio>
 #include <cstring>
 #include <future>
-#include <iostream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -273,26 +272,20 @@ bool ParseArgs(int argc, char** argv, ServeOptions* options,
   return true;
 }
 
-/// Serializes response lines onto one output stream.
+/// Serializes response lines onto one output file descriptor.
 class LineWriter {
  public:
-  explicit LineWriter(std::FILE* out) : out_(out) {}
   explicit LineWriter(int fd) : fd_(fd) {}
 
   void Write(const std::string& line) {
     MutexLock lock(mu_);
-    if (out_) {
-      std::fputs(line.c_str(), out_);
-      std::fputc('\n', out_);
-      std::fflush(out_);
-      return;
-    }
     std::string framed = line;
     framed.push_back('\n');
     size_t off = 0;
     while (off < framed.size()) {
       const ssize_t n =
           ::write(fd_, framed.data() + off, framed.size() - off);
+      if (n < 0 && errno == EINTR) continue;
       if (n <= 0) return;  // client went away; drop the rest
       off += static_cast<size_t>(n);
     }
@@ -301,10 +294,9 @@ class LineWriter {
  private:
   Mutex mu_;
   // The stream itself is what mu_ serializes: writes interleave at line
-  // granularity. The handles are set once at construction, but every
-  // use goes through Write under mu_, so they are guarded like the
-  // stream state they name.
-  std::FILE* out_ TSE_GUARDED_BY(mu_) = nullptr;
+  // granularity. The descriptor is set once at construction, but every
+  // use goes through Write under mu_, so it is guarded like the stream
+  // state it names.
   int fd_ TSE_GUARDED_BY(mu_) = -1;
 };
 
@@ -427,11 +419,13 @@ class LineFramer {
       size -= skip;
       discarding_ = false;
     }
+    // The buffered prefix holds no newline, so the scan starts at the
+    // new bytes: a long line costs O(length), not O(length^2 / chunk).
+    size_t nl = buffer_.size();
     buffer_.append(data, size);
     size_t start = 0;
     bool done = false;
-    for (size_t nl = buffer_.find('\n', start);
-         nl != std::string::npos && !done;
+    for (nl = buffer_.find('\n', nl); nl != std::string::npos && !done;
          start = nl + 1, nl = buffer_.find('\n', start)) {
       done = dispatcher_.HandleLine(buffer_.substr(start, nl - start));
     }
@@ -446,6 +440,16 @@ class LineFramer {
     return done;
   }
 
+  /// End of stream: a final line without its newline is still handled
+  /// (unless it was oversized and already answered). Returns true when
+  /// it was a shutdown op.
+  bool Finish() {
+    if (discarding_ || buffer_.empty()) return false;
+    std::string last;
+    last.swap(buffer_);
+    return dispatcher_.HandleLine(std::move(last));
+  }
+
  private:
   RequestDispatcher& dispatcher_;
   LineWriter& writer_;
@@ -453,16 +457,27 @@ class LineFramer {
   bool discarding_ = false;
 };
 
-int RunPipeMode(ProtocolHandler& handler, AdmissionController& admission,
-                ThreadPool& pool, bool serial) {
-  LineWriter writer(stdout);
+/// The read loop of both transports: reads NDJSON requests from `in_fd`
+/// until EOF or a shutdown op and answers on `out_fd` (fd 0 and fd 1 in
+/// pipe mode, one socket in TCP mode). Every dispatched request has been
+/// answered when it returns. Returns true when a shutdown op ended the
+/// stream.
+bool ServeStream(int in_fd, int out_fd, ProtocolHandler& handler,
+                 AdmissionController& admission, ThreadPool& pool,
+                 bool serial) {
+  LineWriter writer(out_fd);
   RequestDispatcher dispatcher(handler, admission, pool, serial, writer);
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    if (dispatcher.HandleLine(std::move(line))) break;
-    line.clear();
+  LineFramer framer(dispatcher, writer);
+  std::vector<char> chunk(64 << 10);
+  while (true) {
+    const ssize_t n = ::read(in_fd, chunk.data(), chunk.size());
+    if (n < 0 && errno == EINTR) continue;  // signal: not EOF
+    if (n <= 0) break;
+    if (framer.Consume(chunk.data(), static_cast<size_t>(n), handler)) {
+      return true;
+    }
   }
-  return 0;
+  return framer.Finish();
 }
 
 /// Live TCP connections, so a shutdown op can unblock every reader (a
@@ -547,24 +562,12 @@ int RunTcpMode(ProtocolHandler& handler, AdmissionController& admission,
     connection.finished = finished;
     connection.thread = std::thread([fd, listener, &handler, &admission,
                                      &pool, serial, &stop, &live, finished] {
-      LineWriter writer(fd);
-      RequestDispatcher dispatcher(handler, admission, pool, serial, writer);
-      LineFramer framer(dispatcher, writer);
-      char chunk[4096];
-      bool done = false;
-      while (!done) {
-        const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-        if (n < 0 && errno == EINTR) continue;  // signal: not EOF
-        if (n <= 0) break;
-        if (framer.Consume(chunk, static_cast<size_t>(n), handler)) {
-          stop.store(true);
-          done = true;
-          // Unblock accept AND every other connection's read().
-          ::shutdown(listener, SHUT_RDWR);
-          live.ShutdownAll();
-        }
+      if (ServeStream(fd, fd, handler, admission, pool, serial)) {
+        stop.store(true);
+        // Unblock accept AND every other connection's read().
+        ::shutdown(listener, SHUT_RDWR);
+        live.ShutdownAll();
       }
-      dispatcher.Drain();
       live.Remove(fd);
       ::close(fd);
       finished->store(true);
@@ -717,11 +720,14 @@ int main(int argc, char** argv) {
   introspection.pool_size = static_cast<int>(pool.size());
   handler.set_introspection(introspection);
 
-  const int exit_code =
-      options.port > 0
-          ? RunTcpMode(handler, service.admission(), pool, options.serial,
-                       options.port)
-          : RunPipeMode(handler, service.admission(), pool, options.serial);
+  int exit_code = 0;
+  if (options.port > 0) {
+    exit_code = RunTcpMode(handler, service.admission(), pool,
+                           options.serial, options.port);
+  } else {
+    ServeStream(STDIN_FILENO, STDOUT_FILENO, handler, service.admission(),
+                pool, options.serial);
+  }
   history.Stop();
 
   if (!options.cache_save.empty()) {
