@@ -8,10 +8,13 @@
 namespace tsexplain {
 namespace {
 
-// FNV-1a over the raw bytes of every slice's finalized value stream, all
-// slices at once: the cube stores partials time-major, so advancing t in
-// the outer loop and e in the inner one sweeps contiguous memory instead of
-// striding through the whole cube once per slice.
+// One multiply-xorshift step per finalized value (its 64-bit pattern) of
+// every slice's value stream, all slices at once: the cube stores partials
+// time-major, so advancing t in the outer loop and e in the inner one
+// sweeps contiguous memory instead of striding through the whole cube once
+// per slice. The hash only buckets slices -- SlicesEqual decides -- so
+// distinct bit patterns of equal values (+0.0 and -0.0) land in different
+// buckets and are never merged, and NaN never equals itself.
 std::vector<uint64_t> HashAllSlices(const ExplanationCube& cube) {
   const size_t epsilon = cube.num_explanations();
   std::vector<uint64_t> h(epsilon, 1469598103934665603ULL);
@@ -20,10 +23,8 @@ std::vector<uint64_t> HashAllSlices(const ExplanationCube& cube) {
       const double d = cube.SliceValue(static_cast<ExplId>(e), t);
       uint64_t bits;
       std::memcpy(&bits, &d, sizeof(bits));
-      for (int byte = 0; byte < 8; ++byte) {
-        h[e] ^= (bits >> (byte * 8)) & 0xffULL;
-        h[e] *= 1099511628211ULL;
-      }
+      const uint64_t x = (h[e] ^ bits) * 0x9e3779b97f4a7c15ULL;
+      h[e] = x ^ (x >> 29);
     }
   }
   return h;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 
 #include "src/common/check.h"
 #include "src/common/thread_pool.h"
@@ -23,21 +24,9 @@ TupleCells ResolveAllRows(const Table& table,
 
 }  // namespace
 
-ExplanationCube::ExplanationCube(const Table& table,
-                                 const ExplanationRegistry& registry,
-                                 AggregateFunction f, int measure_idx,
-                                 int threads)
-    : ExplanationCube(table, registry, ResolveAllRows(table, registry), f,
-                      measure_idx, threads) {}
-
-ExplanationCube::ExplanationCube(const Table& table,
-                                 const ExplanationRegistry& registry,
-                                 const TupleCells& tuple_cells,
-                                 AggregateFunction f, int measure_idx,
-                                 int threads)
-    : f_(f),
-      num_explanations_(registry.num_explanations()),
-      time_labels_(table.time_labels()) {
+std::shared_ptr<const CubePartials> CubePartials::Accumulate(
+    const Table& table, size_t num_explanations,
+    const TupleCells& tuple_cells, int measure_idx, int threads) {
   if (measure_idx >= 0) {
     TSE_CHECK_LT(static_cast<size_t>(measure_idx),
                  table.schema().num_measures());
@@ -46,10 +35,13 @@ ExplanationCube::ExplanationCube(const Table& table,
   TSE_CHECK_EQ(tuple_cells.first_row, 0u);
   TSE_CHECK_EQ(tuple_cells.row_tuple.size(), num_rows);
   const size_t n = table.num_time_buckets();
-  const size_t epsilon = num_explanations_;
-  overall_.assign(n, AggState{});
-  slice_sums_.assign(n * epsilon, 0.0);
-  slice_counts_.assign(n * epsilon, 0.0);
+  const size_t epsilon = num_explanations;
+  auto out = std::make_shared<CubePartials>();
+  out->num_explanations = epsilon;
+  out->time_labels = table.time_labels();
+  out->overall.assign(n, AggState{});
+  out->slice_sums.assign(n * epsilon, 0.0);
+  out->slice_counts.assign(n * epsilon, 0.0);
 
   // Pass 1 (serial): bucket rows by time with a stable counting sort, so
   // each bucket lists its rows in ascending row order. A row's cells are
@@ -75,13 +67,13 @@ ExplanationCube::ExplanationCube(const Table& table,
   // the serial one, with no merge step and no per-worker cube copies.
   auto accumulate_buckets = [&](size_t t_lo, size_t t_hi) {
     for (size_t t = t_lo; t < t_hi; ++t) {
-      double* sums = slice_sums_.data() + t * epsilon;
-      double* counts = slice_counts_.data() + t * epsilon;
+      double* sums = out->slice_sums.data() + t * epsilon;
+      double* counts = out->slice_counts.data() + t * epsilon;
       for (size_t pos = bucket_start[t]; pos < bucket_start[t + 1]; ++pos) {
         const size_t row = rows_by_time[pos];
         const double value =
             measure_idx < 0 ? 1.0 : table.measure(row, measure_idx);
-        overall_[t].Add(value);
+        out->overall[t].Add(value);
         const ExplId* cells = tuple_cells.CellsOfRow(row);
         for (size_t s = 0; s < tuple_cells.cells_per_tuple; ++s) {
           sums[static_cast<size_t>(cells[s])] += value;
@@ -103,13 +95,56 @@ ExplanationCube::ExplanationCube(const Table& table,
       accumulate_buckets(n * task / num_tasks, n * (task + 1) / num_tasks);
     });
   }
+  return out;
+}
+
+std::shared_ptr<const CubePartials> CubePartials::Gather(
+    const std::vector<ExplId>& cells) const {
+  const size_t n = overall.size();
+  const size_t from = num_explanations;
+  const size_t to = cells.size();
+  auto out = std::make_shared<CubePartials>();
+  out->num_explanations = to;
+  out->overall = overall;
+  out->time_labels = time_labels;
+  out->slice_sums.resize(n * to);
+  out->slice_counts.resize(n * to);
+  for (size_t t = 0; t < n; ++t) {
+    const double* in_s = slice_sums.data() + t * from;
+    const double* in_c = slice_counts.data() + t * from;
+    double* out_s = out->slice_sums.data() + t * to;
+    double* out_c = out->slice_counts.data() + t * to;
+    for (size_t s = 0; s < to; ++s) {
+      const size_t e = static_cast<size_t>(cells[s]);
+      out_s[s] = in_s[e];
+      out_c[s] = in_c[e];
+    }
+  }
+  return out;
+}
+
+ExplanationCube::ExplanationCube(const Table& table,
+                                 const ExplanationRegistry& registry,
+                                 AggregateFunction f, int measure_idx,
+                                 int threads)
+    : ExplanationCube(
+          CubePartials::Accumulate(table, registry.num_explanations(),
+                                   ResolveAllRows(table, registry),
+                                   measure_idx, threads),
+          f) {}
+
+ExplanationCube::ExplanationCube(std::shared_ptr<const CubePartials> partials,
+                                 AggregateFunction f)
+    : f_(f), partials_(std::move(partials)) {
+  TSE_CHECK(partials_ != nullptr);
   RefreshOverallCache();
 }
 
 void ExplanationCube::RefreshOverallCache() {
-  overall_fin_.resize(overall_.size());
-  for (size_t t = 0; t < overall_.size(); ++t) {
-    overall_fin_[t] = overall_[t].Finalize(f_);
+  const std::vector<AggState>& overall = partials_->overall;
+  overall_fin_.resize(overall.size());
+  for (size_t t = 0; t < overall.size(); ++t) {
+    overall_fin_[t] = overall[t].Finalize(f_);
   }
 }
 
@@ -117,15 +152,16 @@ DiffScore ExplanationCube::Score(DiffMetricKind kind, ExplId e,
                                  size_t t_control, size_t t_test) const {
   TSE_CHECK_LT(t_control, n());
   TSE_CHECK_LT(t_test, n());
-  const AggState& ot = overall_[t_test];
-  const AggState& oc = overall_[t_control];
-  const size_t it = t_test * num_explanations_ + static_cast<size_t>(e);
-  const size_t ic = t_control * num_explanations_ + static_cast<size_t>(e);
+  const CubePartials& p = *partials_;
+  const AggState& ot = p.overall[t_test];
+  const AggState& oc = p.overall[t_control];
+  const size_t it = t_test * p.num_explanations + static_cast<size_t>(e);
+  const size_t ic = t_control * p.num_explanations + static_cast<size_t>(e);
   const double f_test_wo =
-      AggState{ot.sum - slice_sums_[it], ot.count - slice_counts_[it]}
+      AggState{ot.sum - p.slice_sums[it], ot.count - p.slice_counts[it]}
           .Finalize(f_);
   const double f_control_wo =
-      AggState{oc.sum - slice_sums_[ic], oc.count - slice_counts_[ic]}
+      AggState{oc.sum - p.slice_sums[ic], oc.count - p.slice_counts[ic]}
           .Finalize(f_);
   return ComputeDiff(kind, overall_fin_[t_test], overall_fin_[t_control],
                      f_test_wo, f_control_wo);
@@ -137,20 +173,21 @@ void ExplanationCube::ScoreAll(DiffMetricKind kind, size_t t_control,
                                std::vector<double>* gammas) const {
   TSE_CHECK_LT(t_control, n());
   TSE_CHECK_LT(t_test, n());
-  const size_t epsilon = num_explanations_;
+  const CubePartials& p = *partials_;
+  const size_t epsilon = p.num_explanations;
   TSE_CHECK_EQ(gammas->size(), epsilon);
   if (active != nullptr) TSE_CHECK_EQ(active->size(), epsilon);
   ScoreAllInputs in;
   in.f = f_;
   in.kind = kind;
-  in.overall_test = overall_[t_test];
-  in.overall_control = overall_[t_control];
+  in.overall_test = p.overall[t_test];
+  in.overall_control = p.overall[t_control];
   in.f_test = overall_fin_[t_test];
   in.f_control = overall_fin_[t_control];
-  in.test_sums = slice_sums_.data() + t_test * epsilon;
-  in.test_counts = slice_counts_.data() + t_test * epsilon;
-  in.control_sums = slice_sums_.data() + t_control * epsilon;
-  in.control_counts = slice_counts_.data() + t_control * epsilon;
+  in.test_sums = p.slice_sums.data() + t_test * epsilon;
+  in.test_counts = p.slice_counts.data() + t_test * epsilon;
+  in.control_sums = p.slice_sums.data() + t_control * epsilon;
+  in.control_counts = p.slice_counts.data() + t_control * epsilon;
   in.epsilon = epsilon;
   double* out = gammas->data();
   // Kernel dispatch (scalar reference or bit-identical AVX2 — see
@@ -167,16 +204,16 @@ void ExplanationCube::ScoreAll(DiffMetricKind kind, size_t t_control,
 
 TimeSeries ExplanationCube::OverallSeries() const {
   TimeSeries out;
-  out.labels = time_labels_;
+  out.labels = partials_->time_labels;
   out.values = overall_fin_;
   return out;
 }
 
 TimeSeries ExplanationCube::SliceSeries(ExplId e) const {
   TSE_CHECK_GE(e, 0);
-  TSE_CHECK_LT(static_cast<size_t>(e), num_explanations_);
+  TSE_CHECK_LT(static_cast<size_t>(e), num_explanations());
   TimeSeries out;
-  out.labels = time_labels_;
+  out.labels = partials_->time_labels;
   out.values.resize(n());
   for (size_t t = 0; t < n(); ++t) out.values[t] = SliceValue(e, t);
   return out;
@@ -207,29 +244,34 @@ void SmoothPartials(std::vector<AggState>* series, int w) {
 void ExplanationCube::SmoothInPlace(int w) {
   TSE_CHECK_GE(w, 1);
   if (w == 1) return;
-  SmoothPartials(&overall_, w);
+  const CubePartials& in = *partials_;
+  auto out = std::make_shared<CubePartials>();
+  out->num_explanations = in.num_explanations;
+  out->time_labels = in.time_labels;
+  out->overall = in.overall;
+  SmoothPartials(&out->overall, w);
   // Slice smoothing sweeps time-major: one epsilon-wide window accumulator
   // advances over contiguous rows, performing the exact same per-slice
   // arithmetic sequence as smoothing each slice on its own (bit-identical),
   // without the strided per-slice walks the SoA layout would otherwise pay.
   const size_t n = this->n();
-  const size_t epsilon = num_explanations_;
+  const size_t epsilon = in.num_explanations;
   std::vector<double> win_sum(epsilon, 0.0);
   std::vector<double> win_count(epsilon, 0.0);
-  std::vector<double> out_sums(n * epsilon);
-  std::vector<double> out_counts(n * epsilon);
+  out->slice_sums.resize(n * epsilon);
+  out->slice_counts.resize(n * epsilon);
   for (size_t t = 0; t < n; ++t) {
-    const double* in_s = slice_sums_.data() + t * epsilon;
-    const double* in_c = slice_counts_.data() + t * epsilon;
-    double* out_s = out_sums.data() + t * epsilon;
-    double* out_c = out_counts.data() + t * epsilon;
+    const double* in_s = in.slice_sums.data() + t * epsilon;
+    const double* in_c = in.slice_counts.data() + t * epsilon;
+    double* out_s = out->slice_sums.data() + t * epsilon;
+    double* out_c = out->slice_counts.data() + t * epsilon;
     const double denom =
         static_cast<double>(std::min(t + 1, static_cast<size_t>(w)));
     if (t >= static_cast<size_t>(w)) {
       const double* old_s =
-          slice_sums_.data() + (t - static_cast<size_t>(w)) * epsilon;
+          in.slice_sums.data() + (t - static_cast<size_t>(w)) * epsilon;
       const double* old_c =
-          slice_counts_.data() + (t - static_cast<size_t>(w)) * epsilon;
+          in.slice_counts.data() + (t - static_cast<size_t>(w)) * epsilon;
       for (size_t e = 0; e < epsilon; ++e) {
         win_sum[e] += in_s[e];
         win_count[e] += in_c[e];
@@ -247,26 +289,31 @@ void ExplanationCube::SmoothInPlace(int w) {
       }
     }
   }
-  slice_sums_ = std::move(out_sums);
-  slice_counts_ = std::move(out_counts);
+  partials_ = std::move(out);
   RefreshOverallCache();
 }
 
 void ExplanationCube::AppendBucket(const AggState& overall,
                                    const std::vector<AggState>& slice_partials,
                                    const std::string& label) {
-  TSE_CHECK_EQ(slice_partials.size(), num_explanations_);
-  overall_.push_back(overall);
+  TSE_CHECK_EQ(slice_partials.size(), num_explanations());
+  if (partials_.use_count() > 1) {
+    partials_ = std::make_shared<CubePartials>(*partials_);
+  }
+  // This cube is now the partials' only owner, and every CubePartials is
+  // created non-const (make_shared<CubePartials>), so writing is defined.
+  CubePartials& p = const_cast<CubePartials&>(*partials_);
+  p.overall.push_back(overall);
   overall_fin_.push_back(overall.Finalize(f_));
   // No reserve: push_back's geometric growth keeps repeated streaming
   // appends amortized O(1); an exact-size reserve here would force a full
   // SoA copy on every bucket.
   for (const AggState& partial : slice_partials) {
-    slice_sums_.push_back(partial.sum);
-    slice_counts_.push_back(partial.count);
+    p.slice_sums.push_back(partial.sum);
+    p.slice_counts.push_back(partial.count);
   }
-  time_labels_.push_back(label.empty() ? std::to_string(time_labels_.size())
-                                       : label);
+  p.time_labels.push_back(
+      label.empty() ? std::to_string(p.time_labels.size()) : label);
 }
 
 }  // namespace tsexplain

@@ -7,16 +7,26 @@
 // gamma(E) for ANY segment [t_c, t_t] is then O(1) (paper section 5.2).
 //
 // Layout: slice partials are stored as flat structure-of-arrays, TIME-major
-// (`slice_sums_[t * epsilon + e]`). Time-major wins on both hot access
+// (`slice_sums[t * epsilon + e]`). Time-major wins on both hot access
 // patterns: the per-segment batch scorer (ScoreAll) sweeps every candidate
 // at two fixed endpoints -- two contiguous streams -- and the streaming
 // AppendBucket is a contiguous append of one epsilon-sized block. The
 // finalized overall series is cached (`overall_fin_`) so no scoring path
 // ever re-finalizes the overall aggregate per candidate.
+//
+// The partials do not depend on the aggregate function -- only finalizing
+// does -- so they live in a CubePartials that cubes share (engines over
+// the same rows, measure and cells whatever their aggregate) or derive
+// from (engines whose cells are a subset of another's, Gather). Shared
+// partials are never written: a cube that owns its partials alone (a
+// streaming session's) appends in place; one that shares them copies
+// first.
 
 #ifndef TSEXPLAIN_CUBE_EXPLANATION_CUBE_H_
 #define TSEXPLAIN_CUBE_EXPLANATION_CUBE_H_
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "src/diff/diff_metrics.h"
@@ -27,39 +37,69 @@
 
 namespace tsexplain {
 
-/// Materialized per-explanation time-series partials + the overall series.
-class ExplanationCube {
- public:
-  /// Scans `table` once, accumulating partials for every registry cell.
+/// The aggregate-independent content of a cube: every cell's (sum, count)
+/// partials per time bucket, the overall partials and the time labels.
+struct CubePartials {
+  size_t num_explanations = 0;
+  std::vector<AggState> overall;   // [t]
+  // Time-major SoA slice partials: index [t * num_explanations + e].
+  std::vector<double> slice_sums;
+  std::vector<double> slice_counts;
+  std::vector<std::string> time_labels;
+
+  /// Scans `table` once, accumulating partials for the `num_explanations`
+  /// cells `tuple_cells` (the grouping of all of `table`'s rows) assigns.
   /// `measure_idx` of -1 means COUNT(*) semantics. `threads` > 1 partitions
   /// the scan by time bucket over the shared ThreadPool; every (cell, t)
   /// partial still accumulates its rows in ascending row order, so the
   /// result is bit-identical at any thread count (and to the serial scan).
+  static std::shared_ptr<const CubePartials> Accumulate(
+      const Table& table, size_t num_explanations,
+      const TupleCells& tuple_cells, int measure_idx, int threads = 1);
+
+  /// The partials of `cells` (ids into these partials), in that order:
+  /// column s of the result is column cells[s] of these. A cell's partial
+  /// sums the rows of its slice in ascending row order whichever registry
+  /// numbered it, so this is bit-identical to accumulating the table over
+  /// a registry whose cell s is cells[s]'s explanation.
+  std::shared_ptr<const CubePartials> Gather(
+      const std::vector<ExplId>& cells) const;
+};
+
+/// Materialized per-explanation time-series partials + the overall series.
+class ExplanationCube {
+ public:
+  /// Scans `table` once, accumulating partials for every registry cell
+  /// (see CubePartials::Accumulate).
   ExplanationCube(const Table& table, const ExplanationRegistry& registry,
                   AggregateFunction f, int measure_idx, int threads = 1);
 
-  /// Same cube, accumulated over the row grouping `registry` was built
-  /// with (ExplanationRegistry::Build's `tuple_cells` for this `table`), so
-  /// the rows are not grouped a second time.
-  ExplanationCube(const Table& table, const ExplanationRegistry& registry,
-                  const TupleCells& tuple_cells, AggregateFunction f,
-                  int measure_idx, int threads = 1);
+  /// A cube finalizing `partials` under `f`, sharing them.
+  ExplanationCube(std::shared_ptr<const CubePartials> partials,
+                  AggregateFunction f);
 
   /// Number of time buckets.
-  size_t n() const { return overall_.size(); }
+  size_t n() const { return partials_->overall.size(); }
 
   /// Number of candidate explanations covered (epsilon).
-  size_t num_explanations() const { return num_explanations_; }
+  size_t num_explanations() const { return partials_->num_explanations; }
 
   AggregateFunction aggregate() const { return f_; }
+
+  /// The partials this cube finalizes (shared with other cubes).
+  const std::shared_ptr<const CubePartials>& partials() const {
+    return partials_;
+  }
 
   /// Finalized overall aggregate at time t: f(M, R at t). Cached.
   double Overall(size_t t) const { return overall_fin_[t]; }
 
   /// Finalized slice aggregate at time t: f(M, sigma_E R at t).
   double SliceValue(ExplId e, size_t t) const {
-    const size_t idx = t * num_explanations_ + static_cast<size_t>(e);
-    return AggState{slice_sums_[idx], slice_counts_[idx]}.Finalize(f_);
+    const size_t idx =
+        t * partials_->num_explanations + static_cast<size_t>(e);
+    return AggState{partials_->slice_sums[idx], partials_->slice_counts[idx]}
+        .Finalize(f_);
   }
 
   /// gamma(E) and tau(E) for the segment with control endpoint `t_control`
@@ -86,7 +126,8 @@ class ExplanationCube {
 
   /// Appends one new time bucket of partials (streaming extension,
   /// section 8). `slice_partials` must be aligned with the registry ids and
-  /// `overall` must equal the sum over disjoint order-1 slices.
+  /// `overall` must equal the sum over disjoint order-1 slices. In place
+  /// when this cube owns its partials alone; shared ones are copied first.
   void AppendBucket(const AggState& overall,
                     const std::vector<AggState>& slice_partials,
                     const std::string& label = "");
@@ -95,19 +136,15 @@ class ExplanationCube {
   /// `w` (paper section 7.4: fuzzy datasets are smoothed before being
   /// explained). Averaging the (sum, count) partials is a linear operation,
   /// so decomposability -- and hence O(1) diff scores -- is preserved.
+  /// The smoothed partials replace this cube's; shared ones are untouched.
   void SmoothInPlace(int w);
 
  private:
   void RefreshOverallCache();
 
   AggregateFunction f_;
-  size_t num_explanations_ = 0;
-  std::vector<AggState> overall_;    // [t]
-  std::vector<double> overall_fin_;  // [t], Finalize(f_) of overall_
-  // Time-major SoA slice partials: index [t * num_explanations_ + e].
-  std::vector<double> slice_sums_;
-  std::vector<double> slice_counts_;
-  std::vector<std::string> time_labels_;
+  std::shared_ptr<const CubePartials> partials_;
+  std::vector<double> overall_fin_;  // [t], Finalize(f_) of overall
 };
 
 }  // namespace tsexplain

@@ -38,31 +38,25 @@ uint64_t Mix(uint64_t h) {
   return h ^ (h >> 31);
 }
 
-// Groups rows [first_row, table.num_rows()) by their exact values on
-// `explain_by` (hash probe, then a full tuple compare), numbering tuples in
-// first-occurrence row order. Fills out->row_tuple and returns the distinct
-// tuples, flattened with stride explain_by.size().
-std::vector<ValueId> GroupRows(const Table& table,
-                               const std::vector<AttrId>& explain_by,
-                               size_t first_row, TupleCells* out) {
-  TSE_CHECK_LE(first_row, table.num_rows());
-  TSE_CHECK_LT(table.num_rows(), static_cast<size_t>(UINT32_MAX));
-  const size_t width = explain_by.size();
-  std::vector<const ValueId*> columns;
-  for (AttrId attr : explain_by) {
-    columns.push_back(table.dim_column(attr).data());
-  }
+// Groups `count` keys of `width` values each by their exact value tuple
+// (hash probe, then a full tuple compare), numbering tuples in first-seen
+// order; `value(i, idx)` is value idx of key i. Returns the distinct
+// tuples, flattened with stride `width`; `ids` (when non-null) receives
+// each key's tuple number.
+template <typename Value>
+std::vector<ValueId> GroupTuples(size_t count, size_t width, Value value,
+                                 std::vector<uint32_t>* ids) {
+  TSE_CHECK_LT(count, static_cast<size_t>(UINT32_MAX));
   constexpr uint32_t kEmpty = UINT32_MAX;
   std::vector<ValueId> tuples;
   std::vector<uint64_t> hashes;  // per tuple, reused when the table grows
   std::vector<uint32_t> slots(64, kEmpty);
   std::vector<ValueId> key(width);
-  out->first_row = first_row;
-  out->row_tuple.resize(table.num_rows() - first_row);
-  for (size_t row = first_row; row < table.num_rows(); ++row) {
+  if (ids != nullptr) ids->resize(count);
+  for (size_t i = 0; i < count; ++i) {
     uint64_t h = 0;
     for (size_t idx = 0; idx < width; ++idx) {
-      key[idx] = columns[idx][row];
+      key[idx] = value(i, idx);
       h = (h ^ static_cast<uint32_t>(key[idx])) * 0x9e3779b97f4a7c15ULL;
     }
     h = Mix(h);
@@ -91,22 +85,19 @@ std::vector<ValueId> GroupRows(const Table& table,
         }
       }
     }
-    out->row_tuple[row - first_row] = tuple;
+    if (ids != nullptr) (*ids)[i] = tuple;
   }
   return tuples;
 }
 
-// Groups rows [first_row, ...) of `table` and fills out->cells with
-// resolve(cell) for every (tuple, subset), tuple-major in first-occurrence
-// order, subsets in AttrSubsets order. Stops with false at the first
-// kInvalidExplId `resolve` returns.
+// Fills out->cells with resolve(cell) for every (tuple, subset) of
+// out->tuples, tuple-major, subsets in AttrSubsets order. Stops with false
+// at the first kInvalidExplId `resolve` returns.
 template <typename Resolve>
-bool GroupAndResolve(const Table& table,
-                     const std::vector<AttrId>& explain_by, int max_order,
-                     size_t first_row, TupleCells* out, Resolve resolve) {
+bool ResolveTuples(const std::vector<AttrId>& explain_by, int max_order,
+                   TupleCells* out, Resolve resolve) {
   const size_t width = explain_by.size();
-  const std::vector<ValueId> tuples =
-      GroupRows(table, explain_by, first_row, out);
+  const std::vector<ValueId>& tuples = out->tuples;
   const auto subsets = AttrSubsets(width, max_order);
   out->cells_per_tuple = subsets.size();
   out->cells.clear();
@@ -131,13 +122,61 @@ bool GroupAndResolve(const Table& table,
 ExplanationRegistry ExplanationRegistry::Build(
     const Table& table, const std::vector<AttrId>& explain_by, int max_order,
     TupleCells* tuple_cells) {
+  TupleCells local;
+  TupleCells* grouped = tuple_cells != nullptr ? tuple_cells : &local;
+  GroupRows(table, explain_by, /*first_row=*/0, grouped);
+  return Enumerate(explain_by, max_order, grouped);
+}
+
+void ExplanationRegistry::GroupRows(const Table& table,
+                                    const std::vector<AttrId>& explain_by,
+                                    size_t first_row, TupleCells* out) {
   TSE_CHECK(!explain_by.empty());
-  TSE_CHECK_GE(max_order, 1);
+  TSE_CHECK_LE(first_row, table.num_rows());
+  std::vector<const ValueId*> columns;
   for (AttrId a : explain_by) {
     TSE_CHECK_GE(a, 0);
     TSE_CHECK_LT(static_cast<size_t>(a), table.schema().num_dimensions());
+    columns.push_back(table.dim_column(a).data() + first_row);
   }
+  out->first_row = first_row;
+  out->tuples = GroupTuples(
+      table.num_rows() - first_row, explain_by.size(),
+      [&columns](size_t i, size_t idx) { return columns[idx][i]; },
+      &out->row_tuple);
+}
 
+void ExplanationRegistry::ProjectTuples(
+    const std::vector<ValueId>& superset_tuples,
+    const std::vector<AttrId>& superset, const std::vector<AttrId>& explain_by,
+    TupleCells* out) {
+  TSE_CHECK(!explain_by.empty());
+  TSE_CHECK(!superset.empty());
+  // Position of each explain-by attribute within a superset tuple.
+  std::vector<size_t> positions;
+  for (AttrId a : explain_by) {
+    const auto it = std::find(superset.begin(), superset.end(), a);
+    TSE_CHECK(it != superset.end())
+        << "attribute " << a << " is not in the superset";
+    positions.push_back(static_cast<size_t>(it - superset.begin()));
+  }
+  // A projected tuple first occurs on the first row of the first superset
+  // tuple that projects to it, and superset tuples are in first-row order,
+  // so first-seen order here is first-row order in the table.
+  const size_t width = superset.size();
+  out->tuples = GroupTuples(
+      superset_tuples.size() / width, explain_by.size(),
+      [&](size_t i, size_t idx) {
+        return superset_tuples[i * width + positions[idx]];
+      },
+      /*ids=*/nullptr);
+}
+
+ExplanationRegistry ExplanationRegistry::Enumerate(
+    const std::vector<AttrId>& explain_by, int max_order,
+    TupleCells* grouped) {
+  TSE_CHECK(!explain_by.empty());
+  TSE_CHECK_GE(max_order, 1);
   ExplanationRegistry reg;
   reg.explain_by_ = explain_by;
   reg.max_order_ = max_order;
@@ -147,16 +186,12 @@ ExplanationRegistry ExplanationRegistry::Build(
   // first row of its tuple, and tuples are visited in first-row order, so
   // enumerating per distinct tuple assigns exactly the ids a per-row scan
   // would.
-  TupleCells local;
-  GroupAndResolve(table, explain_by, max_order, /*first_row=*/0,
-                  tuple_cells != nullptr ? tuple_cells : &local,
-                  [&reg](Explanation cell) {
-                    auto [it, inserted] = reg.index_.try_emplace(
-                        std::move(cell),
-                        static_cast<ExplId>(reg.cells_.size()));
-                    if (inserted) reg.cells_.push_back(it->first);
-                    return it->second;
-                  });
+  ResolveTuples(explain_by, max_order, grouped, [&reg](Explanation cell) {
+    auto [it, inserted] = reg.index_.try_emplace(
+        std::move(cell), static_cast<ExplId>(reg.cells_.size()));
+    if (inserted) reg.cells_.push_back(it->first);
+    return it->second;
+  });
 
   // Pass 2: every cell of order k >= 2 has k parents, one per dropped
   // predicate; order-1 cells hang off the root and have none.
@@ -181,10 +216,11 @@ ExplanationRegistry ExplanationRegistry::Build(
 bool ExplanationRegistry::ResolveRows(const Table& table, size_t first_row,
                                       TupleCells* out) const {
   TSE_CHECK(!explain_by_.empty());
-  return GroupAndResolve(table, explain_by_, max_order_, first_row, out,
-                         [this](const Explanation& cell) {
-                           return Lookup(cell);
-                         });
+  GroupRows(table, explain_by_, first_row, out);
+  return ResolveTuples(explain_by_, max_order_, out,
+                       [this](const Explanation& cell) {
+                         return Lookup(cell);
+                       });
 }
 
 const Explanation& ExplanationRegistry::explanation(ExplId id) const {

@@ -11,7 +11,9 @@
 // tuple; the <= max_order attribute subsets are then enumerated once per
 // DISTINCT tuple, not per row (Liquor: 574,464 rows, ~3,500 tuples). The
 // row -> tuple index and each tuple's cell ids (TupleCells) are what the
-// cube accumulates over, so an engine groups its rows exactly once.
+// cube accumulates over, so an engine groups its rows exactly once. A
+// registry over a subset of another build's attributes is derived from
+// that build's distinct tuples alone (ProjectTuples), without the rows.
 
 #ifndef TSEXPLAIN_DIFF_EXPLANATION_REGISTRY_H_
 #define TSEXPLAIN_DIFF_EXPLANATION_REGISTRY_H_
@@ -33,6 +35,7 @@ struct TupleCells {
   size_t first_row = 0;
   size_t cells_per_tuple = 0;        // number of attribute subsets
   std::vector<uint32_t> row_tuple;   // [row - first_row] -> tuple
+  std::vector<ValueId> tuples;       // [tuple * |explain_by| + idx]
   std::vector<ExplId> cells;         // [tuple * cells_per_tuple + subset]
 
   /// The cells_per_tuple cell ids of the tuple of `row` (table row index).
@@ -56,6 +59,29 @@ class ExplanationRegistry {
                                    const std::vector<AttrId>& explain_by,
                                    int max_order,
                                    TupleCells* tuple_cells = nullptr);
+
+  /// Build's first step: groups rows [first_row, table.num_rows()) by
+  /// their values on `explain_by`, filling every field of `out` but the
+  /// cells.
+  static void GroupRows(const Table& table,
+                        const std::vector<AttrId>& explain_by,
+                        size_t first_row, TupleCells* out);
+
+  /// Build's second step: enumerates the cells of `grouped->tuples`
+  /// (first-row order) and links their parents; fills grouped->cells.
+  static ExplanationRegistry Enumerate(const std::vector<AttrId>& explain_by,
+                                       int max_order, TupleCells* grouped);
+
+  /// The tuples GroupRows(table, explain_by) would find, derived from the
+  /// distinct tuples of a grouping over `superset` (in first-row order)
+  /// instead of from the rows: they are grouped by their explain-by
+  /// projection in first-seen order. Enumerate over the result gives
+  /// exactly Build's ids, parents and Lookup. Fills only out->tuples;
+  /// every attribute of `explain_by` must be in `superset`.
+  static void ProjectTuples(const std::vector<ValueId>& superset_tuples,
+                            const std::vector<AttrId>& superset,
+                            const std::vector<AttrId>& explain_by,
+                            TupleCells* out);
 
   /// Groups rows [first_row, table.num_rows()) of `table` (which must share
   /// the build table's dictionaries) and resolves their cells. Returns

@@ -5,6 +5,7 @@
 
 #include "src/common/check.h"
 #include "src/common/thread_pool.h"
+#include "src/common/timer.h"
 
 namespace tsexplain {
 namespace {
@@ -90,36 +91,53 @@ std::string ExplanationItem::ToString() const {
 }
 
 TSExplain::TSExplain(const Table& table, TSExplainConfig config)
+    : TSExplain(table, std::move(config), /*source=*/nullptr) {}
+
+TSExplain::TSExplain(const Table& table, TSExplainConfig config,
+                     const Precomputation* source,
+                     Precomputation::Cost charged)
     : table_(table), config_(std::move(config)) {
   TSE_CHECK_GE(table.num_time_buckets(), 3u)
       << "need at least three time buckets to segment";
-  QueryTrace build("engine");
+  // Time the caller already spent on `source` for this engine leads the
+  // build clock.
+  QueryTrace build("engine", charged.registry_ms + charged.cube_ms);
   explain_by_ = ResolveExplainBy(table, config_.explain_by_names);
   measure_idx_ = ResolveMeasure(table, config_.measure);
   {
-    // One grouping of the rows serves both the registry and the cube; it
-    // is dropped as soon as the cube is built.
-    TupleCells tuple_cells;
-    int span = build.BeginSpan("diff.registry_build");
-    registry_ = ExplanationRegistry::Build(table, explain_by_,
-                                           config_.max_order, &tuple_cells);
-    build.EndSpan(span);
-    span = build.BeginSpan("cube.build");
-    cube_ = std::make_unique<ExplanationCube>(
-        table, registry_, tuple_cells, config_.aggregate, measure_idx_,
-        ResolveThreadCount(config_.threads));
-    if (config_.smooth_window > 1) {
-      cube_->SmoothInPlace(config_.smooth_window);
+    // Module (a): this engine's own precomputation, or its view of the
+    // caller's. Either way the engine keeps only the registry and the
+    // partials; the row grouping and the distinct tuples are dropped here.
+    Precomputation::Cost cost = charged;
+    Precomputation own;
+    if (source != nullptr) {
+      TSE_CHECK_EQ(source->measure_idx, measure_idx_);
+      own = source->Project(explain_by_, config_.max_order, &cost);
+      TSE_CHECK_EQ(own.partials->overall.size(), table.num_time_buckets())
+          << "precomputation built on another table";
+    } else {
+      own = Precomputation::Build(table, explain_by_, config_.max_order,
+                                  measure_idx_,
+                                  ResolveThreadCount(config_.threads), &cost);
     }
-    build.EndSpan(span);
+    registry_ = std::move(own.registry);
+    cube_ = std::make_unique<ExplanationCube>(std::move(own.partials),
+                                              config_.aggregate);
+    if (config_.smooth_window > 1) {
+      Timer smooth;
+      cube_->SmoothInPlace(config_.smooth_window);
+      cost.cube_ms += smooth.ElapsedMs();
+    }
+    build.AddSpan("diff.registry_build", 0.0, cost.registry_ms, 0);
+    build.AddSpan("cube.build", cost.registry_ms, cost.cube_ms, 0);
   }
 
   const int mask_span = build.BeginSpan("cube.mask");
   if (!config_.exclude.empty()) {
-    exclude_mask_.assign(registry_.num_explanations(), true);
-    for (size_t e = 0; e < registry_.num_explanations(); ++e) {
+    exclude_mask_.assign(registry_->num_explanations(), true);
+    for (size_t e = 0; e < registry_->num_explanations(); ++e) {
       for (const Predicate& p :
-           registry_.explanation(static_cast<ExplId>(e)).predicates()) {
+           registry_->explanation(static_cast<ExplId>(e)).predicates()) {
         const std::string rendered = table_.PredicateString(p.attr, p.value);
         const std::string& value =
             table_.dictionary(p.attr).ToString(p.value);
@@ -142,7 +160,7 @@ TSExplain::TSExplain(const Table& table, TSExplainConfig config)
   options.initial_guess = config_.initial_guess;
   options.active = active_mask_.empty() ? nullptr : &active_mask_;
   explainer_ =
-      std::make_unique<SegmentExplainer>(*cube_, registry_, options);
+      std::make_unique<SegmentExplainer>(*cube_, *registry_, options);
   build.EndSpan(init_span);
   build_spans_ = build.spans();
   build_spans_[0].duration_ms = build.ElapsedMs();
@@ -156,9 +174,9 @@ bool TSExplain::RefreshActiveMask() {
   // Dedupe of equal-slice conjunctions, then the support filter and the
   // exclude list on top.
   std::vector<bool> mask;
-  canonical_count_ = registry_.num_explanations();
+  canonical_count_ = registry_->num_explanations();
   if (config_.dedupe_redundant) {
-    mask = ComputeCanonicalMask(*cube_, registry_);
+    mask = ComputeCanonicalMask(*cube_, *registry_);
     canonical_count_ = CountActive(mask);
   }
   if (config_.use_filter) {
@@ -170,7 +188,7 @@ bool TSExplain::RefreshActiveMask() {
     mask = mask.empty() ? exclude_mask_ : AndMasks(mask, exclude_mask_);
   }
   active_count_ =
-      mask.empty() ? registry_.num_explanations() : CountActive(mask);
+      mask.empty() ? registry_->num_explanations() : CountActive(mask);
   if (mask == active_mask_) return false;
   // Swapped in place: the explainer holds a pointer to active_mask_.
   active_mask_.swap(mask);
@@ -186,10 +204,10 @@ bool TSExplain::AppendBucket(size_t first_row) {
     return false;
   }
   TupleCells bucket;
-  if (!registry_.ResolveRows(table_, first_row, &bucket)) return false;
+  if (!registry_->ResolveRows(table_, first_row, &bucket)) return false;
 
   // Accumulate the bucket's per-cell partials in row order.
-  std::vector<AggState> slice_partials(registry_.num_explanations());
+  std::vector<AggState> slice_partials(registry_->num_explanations());
   AggState overall{};
   for (size_t row = first_row; row < table_.num_rows(); ++row) {
     const double value =
@@ -320,7 +338,7 @@ std::vector<ExplanationItem> TSExplain::ExplainSegment(int begin, int end) {
   for (size_t r = 0; r < top.ids.size(); ++r) {
     ExplanationItem item;
     item.id = top.ids[r];
-    item.description = registry_.explanation(item.id).ToString(table_);
+    item.description = registry_->explanation(item.id).ToString(table_);
     item.gamma = top.gammas[r];
     item.tau = explainer_->Score(item.id, begin, end).tau;
     items.push_back(std::move(item));

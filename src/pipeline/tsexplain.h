@@ -26,6 +26,7 @@
 #include "src/common/trace.h"
 #include "src/cube/canonical_mask.h"
 #include "src/cube/explanation_cube.h"
+#include "src/cube/precomputation.h"
 #include "src/cube/support_filter.h"
 #include "src/diff/guess_verify.h"
 #include "src/seg/elbow.h"
@@ -187,13 +188,26 @@ struct TSExplainResult {
   std::vector<int> sketch_positions;
 };
 
-/// The TSExplain engine. Owns the registry, cube, and caches; one instance
-/// answers repeated Run() calls (e.g. with different fixed_k) without
-/// re-scanning the relation.
+/// The TSExplain engine. Holds the registry and cube partials (module (a),
+/// possibly shared with other engines, see src/cube/precomputation.h) plus
+/// its own finalization, masks and explainer caches; one instance answers
+/// repeated Run() calls (e.g. with different fixed_k) without re-scanning
+/// the relation.
 class TSExplain {
  public:
   /// Builds the registry and cube from `table` (module (a) precomputation).
   TSExplain(const Table& table, TSExplainConfig config);
+
+  /// Same engine, with its registry and cube partials derived from
+  /// `source` instead of the rows (Precomputation::Project; shared with
+  /// `source` when its explain-by set and order are this engine's).
+  /// `source` must be built on `table` for this config's measure and
+  /// cover its explain-by set and order; nullptr builds from the rows.
+  /// `charged` is time the caller spent building `source` for this
+  /// engine; it is added to the engine's build layers.
+  TSExplain(const Table& table, TSExplainConfig config,
+            const Precomputation* source,
+            Precomputation::Cost charged = {});
 
   /// Runs segmentation + per-segment explanation per the configuration.
   TSExplainResult Run();
@@ -224,7 +238,7 @@ class TSExplain {
 
   /// Component access for tests, benches, and power users ----------------
   const Table& table() const { return table_; }
-  const ExplanationRegistry& registry() const { return registry_; }
+  const ExplanationRegistry& registry() const { return *registry_; }
   const ExplanationCube& cube() const { return *cube_; }
   SegmentExplainer& explainer() { return *explainer_; }
   const TSExplainConfig& config() const { return config_; }
@@ -242,7 +256,7 @@ class TSExplain {
   TSExplainConfig config_;
   std::vector<AttrId> explain_by_;
   int measure_idx_ = -1;
-  ExplanationRegistry registry_;
+  std::shared_ptr<const ExplanationRegistry> registry_;
   std::unique_ptr<ExplanationCube> cube_;
   /// Combined selectable mask: canonical (dedupe) AND support filter AND
   /// exclude list. Empty when no option is enabled.

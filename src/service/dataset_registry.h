@@ -4,7 +4,11 @@
 // ONCE into an immutable Table shared by every query, and each distinct
 // engine configuration (see query_key.h's engine_key) gets ONE hot
 // TSExplain instance whose cube / registry / explainer caches persist
-// across queries. Engines keep their backing table alive via shared_ptr,
+// across queries. Below the engines, each (registration, measure) keeps
+// ONE module (a) precomputation (src/cube/precomputation.h) over every
+// dimension, built by the first engine that needs it; later engines
+// project their registry and cube partials from it instead of scanning
+// the rows again. Engines keep their backing table alive via shared_ptr,
 // so dropping a dataset is safe while queries are in flight: they finish
 // against the old table, later lookups see "not found".
 //
@@ -102,8 +106,9 @@ class DatasetRegistry {
   };
   TableRef GetRef(const std::string& name) const;
 
-  /// Unregisters `name` and drops its hot engines; returns false when
-  /// unknown. In-flight queries holding handles are unaffected.
+  /// Unregisters `name` and drops its hot engines and precomputations;
+  /// returns false when unknown. In-flight queries holding handles are
+  /// unaffected (an engine keeps the registry and partials it uses).
   bool Drop(const std::string& name);
 
   /// Sorted by name.
@@ -111,9 +116,16 @@ class DatasetRegistry {
 
   /// Returns the hot engine for (dataset, engine_key), building it on
   /// first use. `config` must describe engine_key (the caller canonicalizes
-  /// first). Building happens under the dataset's engine-map lock —
-  /// concurrent requests for the SAME new engine wait rather than building
-  /// twice (single-flight by mutual exclusion). The cost: a cold build
+  /// first). A new engine is projected from the dataset's precomputation
+  /// for its measure, which the first engine builds over every dimension
+  /// (sorted by name, as canonical explain-by lists are) at its order —
+  /// or over its own explain-by set when the all-dimension one would
+  /// enumerate more cells than the table has rows. An engine the resident
+  /// precomputation does not cover (a dimension outside it, a higher
+  /// order) builds its own. Building happens under the dataset's
+  /// engine-map lock — concurrent requests for the SAME new engine (or
+  /// the same precomputation) wait rather than building twice
+  /// (single-flight by mutual exclusion). The cost: a cold build
   /// also makes OTHER engine lookups on that one dataset wait (cache
   /// hits never come here, and other datasets are unaffected). Fails
   /// when the dataset is unknown, or when `expected_table` (the table
@@ -149,7 +161,16 @@ class DatasetRegistry {
     std::shared_ptr<Mutex> engines_mu = std::make_shared<Mutex>();
     std::map<std::string, EngineEntry> engines
         TSE_GUARDED_BY(*engines_mu);
+    // The precomputation new engines project from, by measure index
+    // (-1 = COUNT(*)); built by the first engine on that measure.
+    std::map<int, Precomputation> precomputations
+        TSE_GUARDED_BY(*engines_mu);
   };
+  // A new engine for `config` over `dataset`'s resident precomputation
+  // (see GetOrBuildEngine).
+  static std::shared_ptr<TSExplain> BuildEngine(Dataset& dataset,
+                                                const TSExplainConfig& config)
+      TSE_REQUIRES(*dataset.engines_mu);
 
   mutable Mutex mu_;  // guards datasets_ map shape
   std::map<std::string, std::shared_ptr<Dataset>> datasets_

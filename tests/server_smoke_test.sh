@@ -20,6 +20,9 @@
 #     a traced cold explain (new engine) shows the engine's own layers
 #     under engine_run (tiling it), each build layer exactly once under
 #     engine_build, and no engine span named like a service span
+#   - an untraced server's metrics op reports the always-on engine-layer
+#     histograms, and an explain on a subset of a dataset's dimensions
+#     counts one projection of the precomputation the first explain built
 #   - pipe mode bounds request lines like TCP: a valid 6 MiB request
 #     draws ONE structured "exceeds" error and the next request is
 #     answered; a final request without a newline is answered at EOF
@@ -171,7 +174,15 @@ response_for 202 "$BIG_OUT" | grep -q '"ok":true' || fail pipe_final_line "$(res
 # counters, and the traced query's child spans must partition the root
 # span's wall clock.
 python3 - "$OUT" <<'PYEOF' || fail observability "metrics/trace assertions failed (see above)"
-import json, sys
+import json, math, sys
+
+
+def wire_tol(*values):
+    """Rounding bound for a sum of wire numbers: JsonWriter prints %.6g,
+    so each printed value is off by at most half a unit in its 6th
+    significant digit. Exact tiling is asserted in-process (test_trace)."""
+    return sum(0.5 * 10 ** (math.floor(math.log10(abs(v))) - 5)
+               for v in values if v != 0) + 1e-12
 
 by_id = {}
 for line in open(sys.argv[1]):
@@ -205,9 +216,12 @@ spans = traced["trace"]
 assert len(spans) >= 2, f"expected non-empty trace, got {spans}"
 root = spans[0]
 assert root["name"] == "query" and root["parent"] == -1
-assert abs(root["duration_ms"] - traced["latency_ms"]) < 1e-6
-child_sum = sum(s["duration_ms"] for s in spans if s["parent"] == 0)
-assert abs(child_sum - root["duration_ms"]) < 1e-6, \
+assert abs(root["duration_ms"] - traced["latency_ms"]) <= \
+    wire_tol(root["duration_ms"], traced["latency_ms"])
+children = [s["duration_ms"] for s in spans if s["parent"] == 0]
+child_sum = sum(children)
+assert abs(child_sum - root["duration_ms"]) <= \
+    wire_tol(root["duration_ms"], *children), \
     f"child spans sum {child_sum} != root {root['duration_ms']}"
 
 # A traced cold explain grafts the engine's own span tree: its run stages
@@ -231,7 +245,8 @@ run_children = [s for s in spans if s["parent"] == run]
 assert {s["name"] for s in run_children} & ENGINE_LAYERS, \
     f"engine_run has no engine-layer children: {run_children}"
 run_sum = sum(s["duration_ms"] for s in run_children)
-assert abs(run_sum - spans[run]["duration_ms"]) < 1e-6, \
+assert abs(run_sum - spans[run]["duration_ms"]) <= wire_tol(
+    spans[run]["duration_ms"], *(s["duration_ms"] for s in run_children)), \
     f"engine_run children sum {run_sum} != {spans[run]['duration_ms']}"
 for layer in BUILD_LAYERS:
     hits = [s for s in spans if s["name"] == layer]
@@ -244,6 +259,38 @@ for i, s in enumerate(spans):
         below.add(i)
         assert s["name"] not in SERVICE, \
             f"engine span reuses service span name {s['name']}"
+PYEOF
+
+# --- Always-on engine layers: an untraced server --------------------------
+# No request sets "trace": the metrics op still reports the engine's
+# layers, and an explain on a subset of a dataset's dimensions is projected
+# from the precomputation the first explain built.
+ENGINE_REQ="$TMPDIR_SMOKE/engine_requests.ndjson"
+{
+  echo "{\"op\":\"register\",\"id\":1,\"name\":\"two\",\"csv\":\"date,region,channel,sales\\n0,east,web,10\\n0,west,shop,20\\n1,east,shop,12\\n1,west,web,18\\n2,east,web,15\\n2,west,shop,16\\n3,east,shop,19\\n3,west,web,12\\n\",\"time_column\":\"date\",\"measures\":[\"sales\"]}"
+  echo '{"op":"explain","id":2,"dataset":"two","measure":"sales","explain_by":["channel","region"],"k":2}'
+  echo '{"op":"explain","id":3,"dataset":"two","measure":"sales","explain_by":["region"],"k":2}'
+  echo '{"op":"metrics","id":4}'
+  echo '{"op":"shutdown","id":5}'
+} >"$ENGINE_REQ"
+ENGINE_OUT="$TMPDIR_SMOKE/engine_responses.ndjson"
+"$SERVE" <"$ENGINE_REQ" >"$ENGINE_OUT" 2>"$TMPDIR_SMOKE/engine.err" ||
+  fail engine_layers_exit "server exited non-zero"
+python3 - "$ENGINE_OUT" <<'PYEOF' || fail engine_layers "engine-layer metrics assertions failed (see above)"
+import json, sys
+
+by_id = {}
+for line in open(sys.argv[1]):
+    obj = json.loads(line)
+    by_id[obj.get("id")] = obj
+for i in (1, 2, 3):
+    assert by_id[i]["ok"], by_id[i]
+metrics = by_id[4]["metrics"]
+hists, counters = metrics["histograms"], metrics["counters"]
+for name in ("engine.registry_build_ms", "engine.ca_ms"):
+    assert hists.get(name, {}).get("count", 0) >= 1, f"{name}: {hists.get(name)}"
+assert counters.get("engine.projections", 0) >= 1, counters
+assert counters.get("engine.precomputation_builds", 0) == 1, counters
 PYEOF
 
 # --- TCP mode: dribbled bytes, oversized lines, overload flags ------------

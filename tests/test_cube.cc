@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <memory>
 #include <string>
 
 #include "src/cube/canonical_mask.h"
@@ -69,8 +71,10 @@ TEST(Cube, SharedGroupingBuildsTheSameCube) {
   const auto reg = ExplanationRegistry::Build(table, {2, 0, 1}, 2,
                                               &tuple_cells);
   for (int threads : {1, 4}) {
-    const ExplanationCube shared(table, reg, tuple_cells,
-                                 AggregateFunction::kAvg, 0, threads);
+    const ExplanationCube shared(
+        CubePartials::Accumulate(table, reg.num_explanations(), tuple_cells,
+                                 0, threads),
+        AggregateFunction::kAvg);
     const ExplanationCube standalone(table, reg, AggregateFunction::kAvg, 0,
                                      threads);
     ASSERT_EQ(shared.n(), standalone.n());
@@ -214,6 +218,38 @@ TEST(CanonicalMask, NoFalsePositives) {
   const ExplanationCube cube(t, reg, AggregateFunction::kSum, 0);
   const auto mask = ComputeCanonicalMask(cube, reg);
   EXPECT_EQ(CountActive(mask), reg.num_explanations());
+}
+
+// The mask compares finalized values with ==, but only within a hash
+// bucket of their bit patterns. Pins what that means at the edges: a +0.0
+// slice and a -0.0 slice are not merged (different bits), and NaN slices
+// are never merged, even with identical bits (NaN != NaN); equal slices
+// with equal bits are.
+TEST(CanonicalMask, SignedZeroAndNanSlices) {
+  Table table(Schema("t", {"A"}, {"m"}));
+  for (const char* d : {"d0", "d1", "d2"}) table.AddTimeBucket(d);
+  for (int t = 0; t < 3; ++t) {
+    for (const char* a : {"pos", "neg", "nan1", "nan2", "pos2"}) {
+      table.AppendRow(t, {a}, {1.0});
+    }
+  }
+  const auto reg = ExplanationRegistry::Build(table, {0}, 1);
+  ASSERT_EQ(reg.num_explanations(), 5u);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double slice_values[] = {0.0, -0.0, nan, nan, 0.0};
+  auto partials = std::make_shared<CubePartials>();
+  partials->num_explanations = 5;
+  partials->time_labels = table.time_labels();
+  partials->overall.assign(3, AggState{5.0, 5.0});
+  for (int t = 0; t < 3; ++t) {
+    for (double v : slice_values) {
+      partials->slice_sums.push_back(v);
+      partials->slice_counts.push_back(1.0);
+    }
+  }
+  const ExplanationCube cube(partials, AggregateFunction::kSum);
+  EXPECT_EQ(ComputeCanonicalMask(cube, reg),
+            (std::vector<bool>{true, true, true, true, false}));
 }
 
 TEST(AndMasksTest, ElementwiseAnd) {

@@ -241,11 +241,9 @@ ReferenceRegistry BuildReference(const Table& table,
   return ref;
 }
 
-void ExpectMatchesReference(const Table& table,
-                            const std::vector<AttrId>& explain_by,
-                            int max_order, const std::string& label) {
-  const ReferenceRegistry ref = BuildReference(table, explain_by, max_order);
-  const auto reg = ExplanationRegistry::Build(table, explain_by, max_order);
+void ExpectRegistryMatches(const ExplanationRegistry& reg,
+                           const ReferenceRegistry& ref,
+                           const std::string& label) {
   ASSERT_EQ(reg.num_explanations(), ref.cells.size()) << label;
   for (ExplId id = 0; id < static_cast<ExplId>(ref.cells.size()); ++id) {
     const Explanation& want = ref.cells[static_cast<size_t>(id)];
@@ -256,6 +254,14 @@ void ExpectMatchesReference(const Table& table,
               ref.parents[static_cast<size_t>(id)])
         << label << " parents of " << id;
   }
+}
+
+void ExpectMatchesReference(const Table& table,
+                            const std::vector<AttrId>& explain_by,
+                            int max_order, const std::string& label) {
+  ExpectRegistryMatches(
+      ExplanationRegistry::Build(table, explain_by, max_order),
+      BuildReference(table, explain_by, max_order), label);
 }
 
 // Random table over four dimensions whose rows draw from a small pool of
@@ -436,6 +442,54 @@ TEST(RegistryParents, MatchLookupWithoutEachPredicate) {
   const auto liquor = MakeLiquorTable();
   ExpectParentTable(ExplanationRegistry::Build(*liquor, {0, 1, 2, 3}, 3),
                     "liquor");
+}
+
+// A registry projected from the distinct tuples of an all-dimension
+// grouping equals a fresh build, for every explain-by subset (in the
+// name-sorted order the service uses, which is not AttrId order here, and
+// in AttrId order) at every order: same ids, parents and Lookup.
+TEST(RegistryProjection, MatchesFreshBuildForEverySubset) {
+  Rng rng(404);
+  Table table(Schema("t", {"zone", "city", "bank", "item"}, {"m"}));
+  for (int t = 0; t < 6; ++t) table.AddTimeBucket(std::to_string(t));
+  for (int row = 0; row < 900; ++row) {
+    const int64_t city = rng.UniformInt(0, 11);
+    table.AppendRow(static_cast<TimeId>(row % 6),
+                    {"z" + std::to_string(city / 4),  // city -> zone
+                     "c" + std::to_string(city),
+                     "b" + std::to_string(rng.UniformInt(0, 4)),
+                     "i" + std::to_string(rng.UniformInt(0, 6))},
+                    {1.0});
+  }
+  // Name order: bank, city, item, zone.
+  const std::vector<AttrId> by_name = {2, 1, 3, 0};
+  for (const std::vector<AttrId>& superset :
+       std::vector<std::vector<AttrId>>{by_name, {0, 1, 2, 3}}) {
+    TupleCells grouped;
+    ExplanationRegistry::GroupRows(table, superset, 0, &grouped);
+    for (uint32_t mask = 1; mask < 16; ++mask) {
+      for (bool name_order : {true, false}) {
+        std::vector<AttrId> explain_by;
+        for (size_t i = 0; i < 4; ++i) {
+          const AttrId a = name_order ? by_name[i] : static_cast<AttrId>(i);
+          if (mask & (1u << a)) explain_by.push_back(a);
+        }
+        for (int order = 1; order <= 3; ++order) {
+          std::string label = "order " + std::to_string(order) + " by";
+          for (AttrId a : explain_by) label += " " + std::to_string(a);
+          TupleCells projected;
+          ExplanationRegistry::ProjectTuples(grouped.tuples, superset,
+                                             explain_by, &projected);
+          ExpectRegistryMatches(
+              ExplanationRegistry::Enumerate(explain_by, order, &projected),
+              BuildReference(table, explain_by, order), label);
+          TupleCells fresh;
+          ExplanationRegistry::GroupRows(table, explain_by, 0, &fresh);
+          EXPECT_EQ(projected.tuples, fresh.tuples) << label;
+        }
+      }
+    }
+  }
 }
 
 uint64_t Fnv1a(uint64_t hash, uint64_t word) {
