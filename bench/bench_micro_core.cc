@@ -25,7 +25,6 @@
 #include "src/baselines/matrix_profile.h"
 #include "src/common/rng.h"
 #include "src/common/timer.h"
-#include "src/cube/precomputation.h"
 #include "src/cube/score_kernels.h"
 #include "src/cube/support_filter.h"
 #include "src/datagen/liquor_sim.h"
@@ -350,9 +349,11 @@ void BM_LiquorCubeBuild(benchmark::State& state) {
   const auto table = MakeLiquorTable();
   std::vector<AttrId> attrs{0, 1, 2, 3};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        Precomputation::Build(*table, attrs, 3, /*measure_idx=*/0,
-                              /*threads=*/1));
+    TupleCells tuple_cells;
+    const auto registry =
+        ExplanationRegistry::Build(*table, attrs, 3, &tuple_cells);
+    benchmark::DoNotOptimize(ExplanationCube(
+        *table, registry, tuple_cells, AggregateFunction::kSum, 0));
   }
 }
 BENCHMARK(BM_LiquorCubeBuild)->Unit(benchmark::kMillisecond);

@@ -127,10 +127,17 @@ ExplanationCube::ExplanationCube(const Table& table,
                                  const ExplanationRegistry& registry,
                                  AggregateFunction f, int measure_idx,
                                  int threads)
+    : ExplanationCube(table, registry, ResolveAllRows(table, registry), f,
+                      measure_idx, threads) {}
+
+ExplanationCube::ExplanationCube(const Table& table,
+                                 const ExplanationRegistry& registry,
+                                 const TupleCells& tuple_cells,
+                                 AggregateFunction f, int measure_idx,
+                                 int threads)
     : ExplanationCube(
           CubePartials::Accumulate(table, registry.num_explanations(),
-                                   ResolveAllRows(table, registry),
-                                   measure_idx, threads),
+                                   tuple_cells, measure_idx, threads),
           f) {}
 
 ExplanationCube::ExplanationCube(std::shared_ptr<const CubePartials> partials,

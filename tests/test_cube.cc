@@ -71,10 +71,8 @@ TEST(Cube, SharedGroupingBuildsTheSameCube) {
   const auto reg = ExplanationRegistry::Build(table, {2, 0, 1}, 2,
                                               &tuple_cells);
   for (int threads : {1, 4}) {
-    const ExplanationCube shared(
-        CubePartials::Accumulate(table, reg.num_explanations(), tuple_cells,
-                                 0, threads),
-        AggregateFunction::kAvg);
+    const ExplanationCube shared(table, reg, tuple_cells,
+                                 AggregateFunction::kAvg, 0, threads);
     const ExplanationCube standalone(table, reg, AggregateFunction::kAvg, 0,
                                      threads);
     ASSERT_EQ(shared.n(), standalone.n());
