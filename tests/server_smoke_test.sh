@@ -264,7 +264,10 @@ PYEOF
 # --- Always-on engine layers: an untraced server --------------------------
 # No request sets "trace": the metrics op still reports the engine's
 # layers, and an explain on a subset of a dataset's dimensions is projected
-# from the precomputation the first explain built.
+# from the precomputation the first explain built. Pipe mode runs explains
+# concurrently, so the requests are sent one at a time, each after the
+# previous response: "first" must mean first, not first to win the
+# dataset's engine lock.
 ENGINE_REQ="$TMPDIR_SMOKE/engine_requests.ndjson"
 {
   echo "{\"op\":\"register\",\"id\":1,\"name\":\"two\",\"csv\":\"date,region,channel,sales\\n0,east,web,10\\n0,west,shop,20\\n1,east,shop,12\\n1,west,web,18\\n2,east,web,15\\n2,west,shop,16\\n3,east,shop,19\\n3,west,web,12\\n\",\"time_column\":\"date\",\"measures\":[\"sales\"]}"
@@ -274,7 +277,32 @@ ENGINE_REQ="$TMPDIR_SMOKE/engine_requests.ndjson"
   echo '{"op":"shutdown","id":5}'
 } >"$ENGINE_REQ"
 ENGINE_OUT="$TMPDIR_SMOKE/engine_responses.ndjson"
-"$SERVE" <"$ENGINE_REQ" >"$ENGINE_OUT" 2>"$TMPDIR_SMOKE/engine.err" ||
+python3 - "$SERVE" "$ENGINE_REQ" "$ENGINE_OUT" "$TMPDIR_SMOKE/engine.err" <<'PYEOF' ||
+import json, select, subprocess, sys
+
+serve, req_path, out_path, err_path = sys.argv[1:5]
+with open(err_path, "w") as err, open(out_path, "w") as out:
+    proc = subprocess.Popen([serve], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, stderr=err, text=True)
+    for line in open(req_path):
+        want = json.loads(line)["id"]
+        proc.stdin.write(line)
+        proc.stdin.flush()
+        while True:
+            ready, _, _ = select.select([proc.stdout], [], [], 30)
+            if not ready:
+                proc.kill()
+                sys.exit(f"no response to id {want} within 30 s")
+            resp = proc.stdout.readline()
+            if not resp:
+                sys.exit(f"server closed stdout before answering id {want}")
+            out.write(resp)
+            if json.loads(resp).get("id") == want:
+                break
+    proc.stdin.close()
+    out.write(proc.stdout.read())
+    sys.exit(proc.wait(timeout=30))
+PYEOF
   fail engine_layers_exit "server exited non-zero"
 python3 - "$ENGINE_OUT" <<'PYEOF' || fail engine_layers "engine-layer metrics assertions failed (see above)"
 import json, sys
