@@ -1,6 +1,9 @@
 #include "src/cube/precomputation.h"
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
+#include <string>
 #include <utility>
 
 #include "src/common/check.h"
@@ -39,13 +42,14 @@ size_t EffectiveOrder(size_t width, int max_order) {
   return std::min(width, static_cast<size_t>(max_order));
 }
 
-}  // namespace
-
-Precomputation Precomputation::Build(const Table& table,
-                                     const std::vector<AttrId>& explain_by,
-                                     int max_order, int measure_idx,
-                                     int threads, Cost* cost,
-                                     size_t max_cells) {
+// Build, stopping with an empty Precomputation when the enumeration would
+// visit more than `max_cells` (tuple, subset) pairs or the partials would
+// take more than `max_bytes`.
+Precomputation BuildWithin(const Table& table,
+                           const std::vector<AttrId>& explain_by,
+                           int max_order, int measure_idx, int threads,
+                           Precomputation::Cost* cost, size_t max_cells,
+                           size_t max_bytes) {
   TSE_CHECK_GE(max_order, 1);
   Timer timer;
   Precomputation out;
@@ -58,10 +62,16 @@ Precomputation Precomputation::Build(const Table& table,
     if (cost != nullptr) cost->registry_ms += timer.ElapsedMs();
     return out;
   }
-  out.registry = std::make_shared<const ExplanationRegistry>(
+  auto registry = std::make_shared<const ExplanationRegistry>(
       ExplanationRegistry::Enumerate(explain_by, max_order, &tuple_cells));
   if (cost != nullptr) cost->registry_ms += timer.ElapsedMs();
+  if (registry->num_explanations() >
+      max_bytes / sizeof(AggState) / std::max<size_t>(
+                                         table.num_time_buckets(), 1)) {
+    return out;
+  }
   timer.Restart();
+  out.registry = std::move(registry);
   out.partials = CubePartials::Accumulate(
       table, out.registry->num_explanations(), tuple_cells, measure_idx,
       threads);
@@ -69,6 +79,39 @@ Precomputation Precomputation::Build(const Table& table,
   if (cost != nullptr) cost->cube_ms += timer.ElapsedMs();
   PrecomputationMetrics::Get().builds.Inc();
   return out;
+}
+
+// Bytes of the table's row columns: time, dimension codes, measures.
+size_t ColumnBytes(const Table& table) {
+  const Schema& schema = table.schema();
+  return table.num_rows() *
+         (sizeof(TimeId) + schema.num_dimensions() * sizeof(ValueId) +
+          schema.num_measures() * sizeof(double));
+}
+
+}  // namespace
+
+Precomputation Precomputation::Build(const Table& table,
+                                     const std::vector<AttrId>& explain_by,
+                                     int max_order, int measure_idx,
+                                     int threads, Cost* cost) {
+  return BuildWithin(table, explain_by, max_order, measure_idx, threads,
+                     cost, std::numeric_limits<size_t>::max(),
+                     std::numeric_limits<size_t>::max());
+}
+
+Precomputation Precomputation::BuildSuperset(const Table& table,
+                                             int max_order, int measure_idx,
+                                             int threads, Cost* cost) {
+  const std::vector<std::string>& names = table.schema().dimension_names();
+  std::vector<AttrId> all(names.size());
+  std::iota(all.begin(), all.end(), 0);
+  std::sort(all.begin(), all.end(), [&names](AttrId a, AttrId b) {
+    return names[static_cast<size_t>(a)] < names[static_cast<size_t>(b)];
+  });
+  return BuildWithin(table, all, max_order, measure_idx, threads, cost,
+                     /*max_cells=*/table.num_rows(),
+                     /*max_bytes=*/2 * ColumnBytes(table));
 }
 
 bool Precomputation::Covers(const std::vector<AttrId>& explain_by,

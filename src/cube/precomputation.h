@@ -18,7 +18,6 @@
 #define TSEXPLAIN_CUBE_PRECOMPUTATION_H_
 
 #include <cstddef>
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -47,14 +46,25 @@ struct Precomputation {
   /// One row scan of `table`: groups the rows by their `explain_by`
   /// tuple, enumerates the order-<=max_order cells of the distinct tuples
   /// (ExplanationRegistry::Build's ids) and accumulates their partials of
-  /// measure `measure_idx` (-1 = COUNT(*)). When the enumeration would
-  /// visit more than `max_cells` (tuple, subset) pairs it stops after the
-  /// grouping and returns a Precomputation without registry or partials.
-  /// `cost` (nullable) is charged the time spent.
-  static Precomputation Build(
-      const Table& table, const std::vector<AttrId>& explain_by,
-      int max_order, int measure_idx, int threads, Cost* cost = nullptr,
-      size_t max_cells = std::numeric_limits<size_t>::max());
+  /// measure `measure_idx` (-1 = COUNT(*)). `cost` (nullable) is charged
+  /// the time spent.
+  static Precomputation Build(const Table& table,
+                              const std::vector<AttrId>& explain_by,
+                              int max_order, int measure_idx, int threads,
+                              Cost* cost = nullptr);
+
+  /// Build over every dimension of `table`, in name order, when that fits
+  /// the table's budget; otherwise a Precomputation without registry or
+  /// partials. The budget comes from the data: at most one enumerated
+  /// (distinct tuple, attribute subset) pair per row, and partials of at
+  /// most twice the bytes of the table's columns. The first bounds the
+  /// enumeration, checked after the grouping; the second the memory a
+  /// registration keeps resident, checked after the enumeration (the
+  /// partials hold every cell at every time bucket, so a table of many
+  /// sparse buckets fails it).
+  static Precomputation BuildSuperset(const Table& table, int max_order,
+                                      int measure_idx, int threads,
+                                      Cost* cost = nullptr);
 
   /// Whether Project can derive (explain_by, max_order) from this: every
   /// attribute is one of this registry's, and every cell of that order is

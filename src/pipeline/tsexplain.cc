@@ -8,7 +8,6 @@
 #include "src/common/timer.h"
 
 namespace tsexplain {
-namespace {
 
 std::vector<AttrId> ResolveExplainBy(const Table& table,
                                      const std::vector<std::string>& names) {
@@ -31,6 +30,8 @@ int ResolveMeasure(const Table& table, const std::string& name) {
   return idx;
 }
 
+namespace {
+
 // Records the explainer time spent inside `stage` since `*counted` (gamma
 // fills and Cascading Analysts, summed over calls and threads) as counted
 // children of the stage, then advances `*counted`. Finalize scales them
@@ -52,9 +53,38 @@ void AddCountedLayers(QueryTrace& trace, int stage,
 
 }  // namespace
 
+const std::vector<EngineLayer>& EngineLayers() {
+  static const std::vector<EngineLayer> layers = {
+      {"diff.registry_build", true,
+       MetricRegistry::Global().GetHistogram("engine.registry_build_ms")},
+      {"cube.build", true,
+       MetricRegistry::Global().GetHistogram("engine.cube_build_ms")},
+      {"cube.mask", true,
+       MetricRegistry::Global().GetHistogram("engine.mask_ms")},
+      {"seg.explainer_init", true,
+       MetricRegistry::Global().GetHistogram("engine.explainer_init_ms")},
+      {"seg.sketch", false,
+       MetricRegistry::Global().GetHistogram("engine.sketch_ms")},
+      {"seg.variance_table", false,
+       MetricRegistry::Global().GetHistogram("engine.variance_table_ms")},
+      {"seg.dp", false, MetricRegistry::Global().GetHistogram("engine.dp_ms")},
+      {"seg.elbow", false,
+       MetricRegistry::Global().GetHistogram("engine.elbow_ms")},
+      {"pipeline.segment_explain", false,
+       MetricRegistry::Global().GetHistogram("engine.segment_explain_ms")},
+      {"cube.gamma_fill", false,
+       MetricRegistry::Global().GetHistogram("engine.gamma_fill_ms")},
+      {"diff.ca", false,
+       MetricRegistry::Global().GetHistogram("engine.ca_ms")},
+  };
+  return layers;
+}
+
 bool IsBuildLayer(const std::string& span_name) {
-  return span_name == "diff.registry_build" || span_name == "cube.build" ||
-         span_name == "cube.mask" || span_name == "seg.explainer_init";
+  for (const EngineLayer& layer : EngineLayers()) {
+    if (span_name == layer.span) return layer.build;
+  }
+  return false;
 }
 
 TimingBreakdown TimingBreakdown::FromSpans(

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/metrics.h"
 #include "src/common/trace.h"
 #include "src/cube/canonical_mask.h"
 #include "src/cube/explanation_cube.h"
@@ -136,9 +137,33 @@ struct SegmentationSpec {
   static SegmentationSpec FromConfig(const TSExplainConfig& config);
 };
 
-/// The layers the TSExplain constructor records. An engine's first Run
-/// carries them as children of its span root (the build is charged to
-/// the first run only); later runs carry only their own stages.
+/// The dimension ids of `names` in `table`, in the given order; aborts on
+/// an unknown name or an empty list.
+std::vector<AttrId> ResolveExplainBy(const Table& table,
+                                     const std::vector<std::string>& names);
+
+/// The measure index of `name` in `table`, -1 for "" (COUNT(*)); aborts on
+/// an unknown name.
+int ResolveMeasure(const Table& table, const std::string& name);
+
+/// One layer of an engine's span tree (TSExplainResult::spans).
+struct EngineLayer {
+  const char* span;  // the span's name
+  /// Recorded by the TSExplain constructor: an engine's first Run carries
+  /// it as a child of its span root (the build is charged to the first
+  /// run only); later runs carry only their own stages.
+  bool build;
+  /// The layer's always-on histogram, engine.<layer>_ms, which the
+  /// explanation service observes after every engine run
+  /// (docs/OBSERVABILITY.md).
+  Histogram& ms;
+};
+
+/// Every layer the engine records, in tree order: the one list of the
+/// layers' span names and metrics.
+const std::vector<EngineLayer>& EngineLayers();
+
+/// Whether `span_name` is a build layer (EngineLayer::build).
 bool IsBuildLayer(const std::string& span_name);
 
 /// Latency breakdown matching the paper's Figure 15 categories: a view

@@ -1,8 +1,6 @@
 #include "src/service/dataset_registry.h"
 
-#include <algorithm>
 #include <atomic>
-#include <numeric>
 #include <utility>
 
 #include "src/common/thread_pool.h"
@@ -213,38 +211,25 @@ EngineHandle DatasetRegistry::GetOrBuildEngine(const std::string& name,
 std::shared_ptr<TSExplain> DatasetRegistry::BuildEngine(
     Dataset& dataset, const TSExplainConfig& config) {
   const Table& table = *dataset.table;
-  const Schema& schema = table.schema();
-  std::vector<AttrId> explain_by;
-  for (const std::string& name : config.explain_by_names) {
-    explain_by.push_back(schema.DimensionIndex(name));
-  }
-  const int measure_idx =
-      config.measure.empty() ? -1 : schema.MeasureIndex(config.measure);
+  const std::vector<AttrId> explain_by =
+      ResolveExplainBy(table, config.explain_by_names);
+  const int measure_idx = ResolveMeasure(table, config.measure);
   Precomputation& resident = dataset.precomputations[measure_idx];
   Precomputation::Cost cost;
   if (resident.registry == nullptr) {
-    // Every dimension, unless its distinct tuples x attribute subsets
-    // would exceed the row count: past one cell per row, enumerating the
-    // superset costs more than the row scans it saves.
-    std::vector<AttrId> all(schema.num_dimensions());
-    std::iota(all.begin(), all.end(), 0);
-    std::sort(all.begin(), all.end(), [&schema](AttrId a, AttrId b) {
-      return schema.dimension_names()[static_cast<size_t>(a)] <
-             schema.dimension_names()[static_cast<size_t>(b)];
-    });
+    // Every dimension when the table's budget allows, else this request's.
     const int threads = ResolveThreadCount(config.threads);
-    resident = Precomputation::Build(table, all, config.max_order,
-                                     measure_idx, threads, &cost,
-                                     /*max_cells=*/table.num_rows());
+    resident = Precomputation::BuildSuperset(table, config.max_order,
+                                             measure_idx, threads, &cost);
     if (resident.registry == nullptr) {
       resident = Precomputation::Build(table, explain_by, config.max_order,
                                        measure_idx, threads, &cost);
     }
   }
-  if (!resident.Covers(explain_by, config.max_order)) {
-    return std::make_shared<TSExplain>(table, config);
-  }
-  return std::make_shared<TSExplain>(table, config, &resident, cost);
+  return std::make_shared<TSExplain>(
+      table, config,
+      resident.Covers(explain_by, config.max_order) ? &resident : nullptr,
+      cost);
 }
 
 size_t DatasetRegistry::NumEngines() const {

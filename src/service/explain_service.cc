@@ -149,52 +149,22 @@ struct ServiceMetrics {
 
 // Always-on engine layers (docs/OBSERVABILITY.md): after every engine run,
 // each layer's time in the run's finalized span tree, summed over that
-// layer's spans, is observed into engine.<layer>_ms -- no trace request
-// needed. Layers absent from a run (the build layers after an engine's
-// first run, the elbow under a fixed K) are not observed.
-class EngineLayerMetrics {
- public:
-  static void Observe(const std::vector<TraceSpan>& spans) {
-    static EngineLayerMetrics metrics;
-    for (const Layer& layer : metrics.layers_) {
-      double ms = 0.0;
-      bool seen = false;
-      for (const TraceSpan& span : spans) {
-        if (span.name == layer.span) {
-          ms += span.duration_ms;
-          seen = true;
-        }
+// layer's spans, is observed into its histogram (EngineLayers) -- no trace
+// request needed. Layers absent from a run (the build layers after an
+// engine's first run, the elbow under a fixed K) are not observed.
+void ObserveEngineLayers(const std::vector<TraceSpan>& spans) {
+  for (const EngineLayer& layer : EngineLayers()) {
+    double ms = 0.0;
+    bool seen = false;
+    for (const TraceSpan& span : spans) {
+      if (span.name == layer.span) {
+        ms += span.duration_ms;
+        seen = true;
       }
-      if (seen) layer.ms.Observe(ms);
     }
+    if (seen) layer.ms.Observe(ms);
   }
-
- private:
-  struct Layer {
-    const char* span;
-    Histogram& ms;
-  };
-  const std::vector<Layer> layers_ = {
-      {"diff.registry_build",
-       MetricRegistry::Global().GetHistogram("engine.registry_build_ms")},
-      {"cube.build",
-       MetricRegistry::Global().GetHistogram("engine.cube_build_ms")},
-      {"cube.mask", MetricRegistry::Global().GetHistogram("engine.mask_ms")},
-      {"seg.explainer_init",
-       MetricRegistry::Global().GetHistogram("engine.explainer_init_ms")},
-      {"seg.sketch",
-       MetricRegistry::Global().GetHistogram("engine.sketch_ms")},
-      {"seg.variance_table",
-       MetricRegistry::Global().GetHistogram("engine.variance_table_ms")},
-      {"seg.dp", MetricRegistry::Global().GetHistogram("engine.dp_ms")},
-      {"seg.elbow", MetricRegistry::Global().GetHistogram("engine.elbow_ms")},
-      {"pipeline.segment_explain",
-       MetricRegistry::Global().GetHistogram("engine.segment_explain_ms")},
-      {"cube.gamma_fill",
-       MetricRegistry::Global().GetHistogram("engine.gamma_fill_ms")},
-      {"diff.ca", MetricRegistry::Global().GetHistogram("engine.ca_ms")},
-  };
-};
+}
 
 // Observes `histogram` with the timer's elapsed ms when the scope exits,
 // covering every return path (success and error alike).
@@ -243,7 +213,7 @@ ResultCache::ValuePtr RunAndRender(const Engine& engine, const Run& run,
   auto cached = std::make_shared<CachedResult>();
   const double run_start = trace ? trace->ElapsedMs() : 0.0;
   cached->result = std::make_shared<TSExplainResult>(run());
-  EngineLayerMetrics::Observe(cached->result->spans);
+  ObserveEngineLayers(cached->result->spans);
   if (trace) {
     const double run_end = trace->ElapsedMs();
     const int run_span =

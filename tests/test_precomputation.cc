@@ -2,7 +2,8 @@
 // a projected cube is bit-identical to a fresh one, an engine built on a
 // projection answers exactly like a standalone one, shared partials are
 // never written, and the dataset registry shares one precomputation per
-// (registration, measure) and frees it with the registration.
+// (registration, measure), falls back to the requested set past the
+// table's budget and frees it with the registration.
 
 #include <gtest/gtest.h>
 
@@ -138,10 +139,11 @@ TEST(PrecomputationProjection, CoversAndSharing) {
                  ExplanationCube(city.partials, AggregateFunction::kSum),
                  "twice projected");
 
-  // A budget below the enumeration stops after the grouping.
-  EXPECT_EQ(
-      Precomputation::Build(*table, kByName, 3, 0, 1, nullptr, 10).registry,
-      nullptr);
+  // Within the table's budget the superset spans every dimension, in name
+  // order.
+  const Precomputation all = Precomputation::BuildSuperset(*table, 3, 0, 1);
+  ASSERT_NE(all.registry, nullptr);
+  EXPECT_EQ(all.registry->explain_by(), kByName);
 }
 
 TEST(PrecomputationProjection, SharedPartialsAreNeverWritten) {
@@ -240,6 +242,68 @@ uint64_t CounterValue(const std::string& name) {
   const MetricsSnapshot snapshot = MetricRegistry::Global().Snapshot();
   const uint64_t* value = snapshot.FindCounter(name);
   return value == nullptr ? 0 : *value;
+}
+
+// Two dimensions of four values each, one row per time bucket cycling
+// through the 16 tuples: few enumerated cells per row, but every cell holds
+// a partial at each of the many buckets.
+std::shared_ptr<const Table> MakeSparseTable() {
+  auto table = std::make_shared<Table>(Schema("t", {"b", "a"}, {"v"}));
+  for (int t = 0; t < 200; ++t) {
+    table->AddTimeBucket("t" + std::to_string(t));
+    table->AppendRow(t,
+                     {"b" + std::to_string(t % 4),
+                      "a" + std::to_string(t / 4 % 4)},
+                     {static_cast<double>(t % 7) + (t > 120 ? 5.0 : 0.0)});
+  }
+  return table;
+}
+
+TEST(PrecomputationBudget, ManyBucketsFallBackToTheRequestedSet) {
+  // 16 tuples x 3 subsets = 48 enumerated cells, within the 200 rows; but
+  // 24 cells x 200 buckets x 16 B = 76,800 B of partials, past twice the
+  // 200 x 20 B of columns.
+  const auto table = MakeSparseTable();
+  EXPECT_EQ(Precomputation::BuildSuperset(*table, 2, 0, 1).registry,
+            nullptr);
+  EXPECT_EQ(Precomputation::BuildSuperset(*table, 2, 0, 1).partials,
+            nullptr);
+
+  // The service builds the first engine's own set instead; a set it does
+  // not cover gets a row scan of its own, one it does is shared.
+  DatasetRegistry registry;
+  std::string error;
+  ASSERT_TRUE(registry.RegisterTable("ds", table, "<table>", &error));
+  TSExplainConfig by_a;
+  by_a.measure = "v";
+  by_a.explain_by_names = {"a"};
+  by_a.max_order = 2;
+  by_a.max_k = 6;
+  TSExplainConfig by_b = by_a;
+  by_b.explain_by_names = {"b"};
+  TSExplainConfig by_a_avg = by_a;
+  by_a_avg.aggregate = AggregateFunction::kAvg;
+  const uint64_t builds = CounterValue("engine.precomputation_builds");
+  const uint64_t projections = CounterValue("engine.projections");
+  std::vector<EngineHandle> handles;
+  for (const TSExplainConfig* config : {&by_a, &by_b, &by_a_avg}) {
+    handles.push_back(registry.GetOrBuildEngine(
+        "ds", "key" + std::to_string(handles.size()), *config, table.get(),
+        &error));
+    ASSERT_TRUE(handles.back().ok()) << error;
+    EXPECT_EQ(handles.back().engine->registry().explain_by(),
+              ResolveExplainBy(*table, config->explain_by_names));
+  }
+  EXPECT_EQ(CounterValue("engine.precomputation_builds") - builds, 2u);
+  EXPECT_EQ(CounterValue("engine.projections") - projections, 0u);
+  EXPECT_EQ(handles[2].engine->cube().partials(),
+            handles[0].engine->cube().partials());
+  ExpectSameResult(TSExplain(*table, by_a).Run(), handles[0].engine->Run(),
+                   "a");
+  ExpectSameResult(TSExplain(*table, by_b).Run(), handles[1].engine->Run(),
+                   "b");
+  ExpectSameResult(TSExplain(*table, by_a_avg).Run(),
+                   handles[2].engine->Run(), "a avg");
 }
 
 TEST(PrecomputationService, EnginesOnSubsetsMatchStandaloneRuns) {

@@ -231,7 +231,11 @@ TEST(TimingBreakdownTest, RealRunSpansTileAndSumToTheBuckets) {
     EXPECT_GE(spans[i].duration_ms, 0.0);
     if (spans[i].name != "other") layers.insert(spans[i].name);
   }
-  EXPECT_GE(layers.size(), 8u);
+  // This run carries every layer, and the layer table (which the service's
+  // always-on metrics read) lists exactly the spans the engine records.
+  std::set<std::string> listed;
+  for (const EngineLayer& layer : EngineLayers()) listed.insert(layer.span);
+  EXPECT_EQ(layers, listed);
   for (const char* layer :
        {"diff.registry_build", "cube.build", "cube.mask", "seg.explainer_init",
         "seg.sketch", "seg.variance_table", "seg.dp", "seg.elbow",

@@ -3,7 +3,6 @@
 
 Usage:
   tools/bench_diff.py --before A.json [A2.json ...] --after B.json [B2.json ...]
-                      [--filter REGEX] [--json] [--fail-on-regression]
 
 Every "BENCH_RESULT <name> <ms>" line a capture harvested is one sample of
 <name>, and every bench's wall clock is one sample of "<bench>.wall_ms".
@@ -15,15 +14,13 @@ A change beyond the band is "faster" or "slower"; within it, "noise".
 With a single sample on both sides there is no band, and the verdict is
 "unknown" -- capture more runs.
 
-Prints one row per name (before median, after median, change, band,
-verdict); --json prints the same rows as a JSON list instead. Exit status
-is 0, or 1 with --fail-on-regression when any name is "slower", or 2 on a
-usage or input error. Needs only the Python standard library.
+Prints one row per name: before median, after median, change, band,
+verdict. Exit status is 0, or 2 on a usage or input error. Needs only the
+Python standard library.
 """
 
 import argparse
 import json
-import re
 import statistics
 import sys
 
@@ -61,11 +58,10 @@ def half_range(values):
     return (max(values) - min(values)) / 2.0 / abs(mid)
 
 
-def compare(before, after, pattern=None):
+def compare(before, after):
+    """One row per name: medians, change, noise band and verdict."""
     rows = []
     for name in sorted(set(before) | set(after)):
-        if pattern and not re.search(pattern, name):
-            continue
         row = {"name": name, "before_ms": None, "after_ms": None,
                "change": None, "band": None, "verdict": "missing"}
         if name in before:
@@ -101,27 +97,17 @@ def main(argv):
         description="Compare BENCH_*.json captures layer by layer.")
     parser.add_argument("--before", nargs="+", required=True)
     parser.add_argument("--after", nargs="+", required=True)
-    parser.add_argument("--filter", help="only names matching this regex")
-    parser.add_argument("--json", action="store_true")
-    parser.add_argument("--fail-on-regression", action="store_true")
     args = parser.parse_args(argv)
 
-    rows = compare(samples(args.before), samples(args.after), args.filter)
-    if args.json:
-        print(json.dumps(rows, indent=1))
-    else:
-        width = max([len("name")] + [len(r["name"]) for r in rows])
+    rows = compare(samples(args.before), samples(args.after))
+    width = max([len("name")] + [len(r["name"]) for r in rows])
+    print("%-*s %12s %12s %9s %8s  %s" % (
+        width, "name", "before_ms", "after_ms", "change", "band", "verdict"))
+    for r in rows:
+        band = "-" if r["band"] is None else "%.1f%%" % (100 * r["band"])
         print("%-*s %12s %12s %9s %8s  %s" % (
-            width, "name", "before_ms", "after_ms", "change", "band",
-            "verdict"))
-        for r in rows:
-            band = "-" if r["band"] is None else "%.1f%%" % (100 * r["band"])
-            print("%-*s %12s %12s %9s %8s  %s" % (
-                width, r["name"], fmt(r["before_ms"]), fmt(r["after_ms"]),
-                fmt(r["change"], pct=True), band, r["verdict"]))
-    if args.fail_on_regression and any(r["verdict"] == "slower"
-                                       for r in rows):
-        return 1
+            width, r["name"], fmt(r["before_ms"]), fmt(r["after_ms"]),
+            fmt(r["change"], pct=True), band, r["verdict"]))
     return 0
 
 
