@@ -1,7 +1,8 @@
 // Micro/ablation benchmarks (google-benchmark) for the design choices
 // behind PAPER.md's modules and optimizations: Cascading Analysts cost vs epsilon, guess-and-verify
-// initial guess, variance-table granularity (vanilla vs sketch), diff-score
-// lookups, matrix profile, and the K-segmentation DP.
+// initial guess, one cache-miss segment of a fast engine, variance-table
+// granularity (vanilla vs sketch), diff-score lookups, matrix profile, and
+// the K-segmentation DP.
 //
 // After the benchmark suite, main() runs the SIMD acceptance gate: on
 // hosts where the AVX2 kernels dispatch, the vectorized ScoreAll sweep
@@ -31,6 +32,7 @@
 #include "src/datagen/synthetic.h"
 #include "src/diff/guess_verify.h"
 #include "src/seg/kseg_dp.h"
+#include "src/seg/segment_explainer.h"
 #include "src/seg/sketch.h"
 
 namespace tsexplain {
@@ -247,6 +249,52 @@ void BM_GuessVerifyLiquor(benchmark::State& state) {
       static_cast<double>(fixture.registry.num_explanations());
 }
 BENCHMARK(BM_GuessVerifyLiquor)->Unit(benchmark::kMicrosecond);
+
+// One cache-miss segment of a fast engine on Liquor (support filter, O1,
+// m = 3), as SegmentExplainer::TopFor computes it: the gamma fill,
+// guess-and-verify's selection and the restricted solve. Arg = explain-by
+// width: 2 (BV, CN at order 2, epsilon 559) or 4 (all four at order 3).
+// Each iteration explains the same 256 seeded segments, then clears the
+// cache untimed; `segment` is the time per segment.
+void BM_SegmentTopLiquor(benchmark::State& state) {
+  static const std::unique_ptr<Table> table = MakeLiquorTable();
+  const bool wide = state.range(0) == 4;
+  const std::vector<AttrId> explain_by =
+      wide ? std::vector<AttrId>{0, 1, 2, 3} : std::vector<AttrId>{0, 2};
+  const ExplanationRegistry registry =
+      ExplanationRegistry::Build(*table, explain_by, wide ? 3 : 2);
+  const ExplanationCube cube(*table, registry, AggregateFunction::kSum, 0);
+  const std::vector<bool> active = ComputeSupportFilter(cube);
+  SegmentExplainer::Options options;
+  options.use_guess_verify = true;
+  options.active = &active;
+  SegmentExplainer explainer(cube, registry, options);
+  constexpr int kSegments = 256;
+  std::vector<std::pair<int, int>> segments;
+  Rng rng(256);
+  while (segments.size() < kSegments) {
+    const int a = static_cast<int>(rng.UniformInt(0, explainer.n() - 2));
+    const int b = static_cast<int>(rng.UniformInt(a + 1, explainer.n() - 1));
+    if (std::find(segments.begin(), segments.end(), std::make_pair(a, b)) ==
+        segments.end()) {
+      segments.emplace_back(a, b);
+    }
+  }
+  for (auto _ : state) {
+    for (const auto& [a, b] : segments) {
+      benchmark::DoNotOptimize(explainer.TopFor(a, b));
+    }
+    state.PauseTiming();
+    explainer.ClearCache();
+    state.ResumeTiming();
+  }
+  state.counters["epsilon"] = static_cast<double>(registry.num_explanations());
+  state.counters["segment"] = benchmark::Counter(
+      kSegments, benchmark::Counter::kIsIterationInvariantRate |
+                     benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SegmentTopLiquor)->Arg(2)->Arg(4)
+    ->Unit(benchmark::kMicrosecond);
 
 // Raw kernel-level sweep (no cube, no mask): the four SoA candidate
 // streams fed straight into the scoring kernels, the unit the SIMD gate

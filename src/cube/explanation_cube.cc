@@ -178,12 +178,24 @@ void ExplanationCube::ScoreAll(DiffMetricKind kind, size_t t_control,
                                size_t t_test,
                                const std::vector<bool>* active,
                                std::vector<double>* gammas) const {
+  if (active == nullptr) {
+    ScoreSelect(kind, t_control, t_test, nullptr, gammas, nullptr);
+    return;
+  }
+  TSE_CHECK_EQ(active->size(), num_explanations());
+  const std::vector<uint64_t> packed = PackActiveMask(*active);
+  ScoreSelect(kind, t_control, t_test, packed.data(), gammas, nullptr);
+}
+
+void ExplanationCube::ScoreSelect(DiffMetricKind kind, size_t t_control,
+                                  size_t t_test, const uint64_t* active,
+                                  std::vector<double>* gammas,
+                                  TopCells* top) const {
   TSE_CHECK_LT(t_control, n());
   TSE_CHECK_LT(t_test, n());
   const CubePartials& p = *partials_;
   const size_t epsilon = p.num_explanations;
   TSE_CHECK_EQ(gammas->size(), epsilon);
-  if (active != nullptr) TSE_CHECK_EQ(active->size(), epsilon);
   ScoreAllInputs in;
   in.f = f_;
   in.kind = kind;
@@ -196,17 +208,11 @@ void ExplanationCube::ScoreAll(DiffMetricKind kind, size_t t_control,
   in.control_sums = p.slice_sums.data() + t_control * epsilon;
   in.control_counts = p.slice_counts.data() + t_control * epsilon;
   in.epsilon = epsilon;
-  double* out = gammas->data();
+  in.active = active;
+  in.top = top;
   // Kernel dispatch (scalar reference or bit-identical AVX2 — see
-  // src/cube/score_kernels.h for the policy). Every lane is computed,
-  // then masked-off candidates are zeroed: identical output to skipping
-  // them, and the kernel keeps its contiguous four-stream sweep.
-  ScoreAllAuto(in, out);
-  if (active != nullptr) {
-    for (size_t e = 0; e < epsilon; ++e) {
-      if (!(*active)[e]) out[e] = 0.0;
-    }
-  }
+  // src/cube/score_kernels.h for the policy).
+  ScoreAllAuto(in, gammas->data());
 }
 
 TimeSeries ExplanationCube::OverallSeries() const {

@@ -25,12 +25,14 @@
 #ifndef TSEXPLAIN_CUBE_EXPLANATION_CUBE_H_
 #define TSEXPLAIN_CUBE_EXPLANATION_CUBE_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/diff/diff_metrics.h"
 #include "src/diff/explanation_registry.h"
+#include "src/diff/top_cells.h"
 #include "src/table/group_by.h"
 #include "src/table/table.h"
 #include "src/ts/time_series.h"
@@ -119,11 +121,19 @@ class ExplanationCube {
   /// false (nullptr = all active) score 0. Bit-identical to calling Score
   /// per candidate, but hoists the overall finalization out of the loop and
   /// sweeps two contiguous SoA streams instead of chasing per-slice heap
-  /// vectors. This is the hottest loop in the system (every cache-miss
-  /// TopFor runs it).
+  /// vectors.
   void ScoreAll(DiffMetricKind kind, size_t t_control, size_t t_test,
                 const std::vector<bool>* active,
                 std::vector<double>* gammas) const;
+
+  /// ScoreAll with the mask packed (PackActiveMask; nullptr = all active)
+  /// and, when `top` is non-null, guess-and-verify's first selection made
+  /// in the same pass: `top` (Reset by the caller) ends holding the best
+  /// top->need() cells of the output (see ScoreAllInputs::top). This is
+  /// the hottest loop in the system (every cache-miss TopFor runs it).
+  void ScoreSelect(DiffMetricKind kind, size_t t_control, size_t t_test,
+                   const uint64_t* active, std::vector<double>* gammas,
+                   TopCells* top) const;
 
   /// Dense overall aggregated series (with time labels).
   TimeSeries OverallSeries() const;

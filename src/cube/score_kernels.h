@@ -2,7 +2,11 @@
 //
 // One segment's gamma sweep reads four contiguous SoA streams (slice sums
 // + counts at the two endpoints) and applies ComputeDiff per candidate —
-// the hottest loop in the system (docs/PERF.md "SIMD scoring"). The AVX2
+// the hottest loop in the system (docs/PERF.md "SIMD scoring"). The same
+// pass applies the active mask and, when asked, makes guess-and-verify's
+// first selection (docs/PERF.md "Cold path: one pass per segment"): an
+// inactive cell scores 0.0, and every cell beating the selection's running
+// floor is offered to a TopCells as it is scored. The AVX2
 // kernels process four candidates per iteration and are BIT-IDENTICAL to
 // the scalar reference for every AggregateFunction x DiffMetricKind pair:
 // same elementwise IEEE operation order, abs as a sign-bit mask, guarded
@@ -22,15 +26,18 @@
 #define TSEXPLAIN_CUBE_SCORE_KERNELS_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "src/diff/diff_metrics.h"
+#include "src/diff/top_cells.h"
 #include "src/table/group_by.h"
 
 namespace tsexplain {
 
 /// One segment's batch-scoring job: overall partials + finalized overall
-/// values at the two endpoints, and the four contiguous candidate streams
-/// (length `epsilon` each).
+/// values at the two endpoints, the four contiguous candidate streams
+/// (length `epsilon` each), and optionally a mask and a selection.
 struct ScoreAllInputs {
   AggregateFunction f = AggregateFunction::kSum;
   DiffMetricKind kind = DiffMetricKind::kAbsoluteChange;
@@ -43,9 +50,21 @@ struct ScoreAllInputs {
   const double* control_sums = nullptr;
   const double* control_counts = nullptr;
   size_t epsilon = 0;
+  /// Active cells, packed by PackActiveMask (nullptr = all active).
+  /// Inactive cells score 0.0.
+  const uint64_t* active = nullptr;
+  /// When non-null (and Reset by the caller), every cell whose gamma
+  /// beats top->floor() is offered to it in ascending id order, and it is
+  /// finished after the sweep: it then holds the best top->need() cells,
+  /// exactly as SelectTop over the output would.
+  TopCells* top = nullptr;
 };
 
-/// Scalar reference: exactly Score()'s arithmetic per candidate
+/// A cell mask in ScoreAllInputs::active's layout: cell e is bit e % 64 of
+/// word e / 64; bits past the mask's end are 0.
+std::vector<uint64_t> PackActiveMask(const std::vector<bool>& mask);
+
+/// Scalar reference: exactly Score()'s arithmetic per active candidate
 /// (AggState::Finalize + ComputeDiff). The fallback and the ground truth
 /// the vectorized path is asserted against.
 void ScoreAllScalar(const ScoreAllInputs& in, double* out);

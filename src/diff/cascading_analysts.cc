@@ -13,7 +13,16 @@ constexpr double kScoreEps = 1e-12;
 }  // namespace
 
 CascadingAnalysts::CascadingAnalysts(const ExplanationRegistry& registry)
-    : registry_(registry) {}
+    : registry_(registry) {
+  std::vector<AttrId> attrs = registry_.explain_by();
+  std::sort(attrs.begin(), attrs.end());
+  for (size_t r = 0; r < attrs.size(); ++r) {
+    const size_t attr = static_cast<size_t>(attrs[r]);
+    if (attr_rank_.size() <= attr) attr_rank_.resize(attr + 1, 0);
+    attr_rank_[attr] = static_cast<uint32_t>(r);
+  }
+  num_attrs_ = std::max<size_t>(attrs.size(), 1);
+}
 
 TopExplanations CascadingAnalysts::TopM(const std::vector<double>& gamma,
                                         int m,
@@ -47,7 +56,11 @@ TopExplanations CascadingAnalysts::TopMRestricted(
 
 void CascadingAnalysts::BuildLattice(const std::vector<ExplId>& cells,
                                      Lattice* lattice) {
-  if (node_of_.empty()) node_of_.assign(registry_.num_explanations(), -1);
+  const size_t epsilon = registry_.num_explanations();
+  if (node_of_.empty()) {
+    node_of_.assign(epsilon, -1);
+    in_lattice_.assign((epsilon + 63) / 64, 0);
+  }
   lattice->cells.clear();
   lattice->selectable.clear();
   auto add = [this, lattice](ExplId id, bool selectable) {
@@ -56,6 +69,8 @@ void CascadingAnalysts::BuildLattice(const std::vector<ExplId>& cells,
     node = static_cast<int32_t>(lattice->cells.size());
     lattice->cells.push_back(id);
     lattice->selectable.push_back(selectable);
+    in_lattice_[static_cast<size_t>(id) / 64] |=
+        uint64_t{1} << (static_cast<size_t>(id) % 64);
   };
   for (ExplId id : cells) {
     TSE_CHECK_GE(id, 0);
@@ -70,57 +85,75 @@ void CascadingAnalysts::BuildLattice(const std::vector<ExplId>& cells,
   }
 
   // Drill-down edges: a cell is the child of each of its parents along the
-  // dropped attribute, and an order-1 cell is the root's child.
-  const int32_t root = static_cast<int32_t>(lattice->cells.size());
+  // dropped attribute, and an order-1 cell is the root's child. The edges
+  // are listed by ascending child id (the bitset's order), so a stable
+  // counting sort by group -- parent node, then attribute -- leaves each
+  // group's children by id: the CSR order without a comparison sort.
+  const size_t root = lattice->cells.size();
+  const size_t num_groups = (root + 1) * num_attrs_;
+  TSE_CHECK_LT(num_groups, size_t{UINT32_MAX});
+  group_count_.assign(num_groups + 1, 0);
+  const int max_order = std::max(registry_.max_order(), 1);
+  order_count_.assign(static_cast<size_t>(max_order) + 1, 0);
   edges_.clear();
-  for (int32_t node = 0; node < root; ++node) {
-    const ExplId id = lattice->cells[static_cast<size_t>(node)];
-    const auto& preds = registry_.explanation(id).predicates();
-    const auto parents = registry_.parents(id);
-    if (parents.size() == 0) edges_.push_back(Edge{root, preds[0].attr, id});
-    for (size_t i = 0; i < parents.size(); ++i) {
-      edges_.push_back(Edge{node_of_[static_cast<size_t>(parents[i])],
-                            preds[i].attr, id});
-    }
-  }
-  std::sort(edges_.begin(), edges_.end(), [](const Edge& a, const Edge& b) {
-    if (a.parent != b.parent) return a.parent < b.parent;
-    if (a.attr != b.attr) return a.attr < b.attr;
-    return a.child < b.child;
-  });
-  lattice->group_begin.assign(static_cast<size_t>(root) + 2, 0);
-  lattice->child_begin.clear();
-  lattice->children.clear();
-  size_t e = 0;
-  for (int32_t node = 0; node <= root; ++node) {
-    lattice->group_begin[static_cast<size_t>(node)] =
-        static_cast<uint32_t>(lattice->child_begin.size());
-    for (; e < edges_.size() && edges_[e].parent == node; ++e) {
-      if (e == 0 || edges_[e - 1].parent != node ||
-          edges_[e - 1].attr != edges_[e].attr) {
-        lattice->child_begin.push_back(
-            static_cast<uint32_t>(lattice->children.size()));
+  for (size_t word = 0; word < in_lattice_.size(); ++word) {
+    for (uint64_t bits = in_lattice_[word]; bits != 0; bits &= bits - 1) {
+      const ExplId id = static_cast<ExplId>(
+          word * 64 + static_cast<size_t>(__builtin_ctzll(bits)));
+      const int32_t node = node_of_[static_cast<size_t>(id)];
+      const auto& preds = registry_.explanation(id).predicates();
+      const auto parents = registry_.parents(id);
+      auto link = [&](size_t parent_node, AttrId attr) {
+        const uint32_t group = static_cast<uint32_t>(
+            parent_node * num_attrs_ + attr_rank_[static_cast<size_t>(attr)]);
+        edges_.push_back(Edge{group, node});
+        ++group_count_[group + 1];
+      };
+      if (parents.size() == 0) link(root, preds[0].attr);
+      for (size_t i = 0; i < parents.size(); ++i) {
+        link(static_cast<size_t>(node_of_[static_cast<size_t>(parents[i])]),
+             preds[i].attr);
       }
-      lattice->children.push_back(
-          node_of_[static_cast<size_t>(edges_[e].child)]);
+      ++order_count_[std::max<size_t>(1, parents.size())];
+    }
+    in_lattice_[word] = 0;
+  }
+  for (size_t g = 0; g < num_groups; ++g) {
+    group_count_[g + 1] += group_count_[g];
+  }
+  lattice->children.resize(edges_.size());
+  lattice->group_begin.assign(root + 2, 0);
+  lattice->child_begin.clear();
+  for (size_t node = 0; node <= root; ++node) {
+    lattice->group_begin[node] =
+        static_cast<uint32_t>(lattice->child_begin.size());
+    for (size_t g = node * num_attrs_; g < (node + 1) * num_attrs_; ++g) {
+      if (group_count_[g + 1] > group_count_[g]) {
+        lattice->child_begin.push_back(group_count_[g]);
+      }
     }
   }
-  lattice->group_begin[static_cast<size_t>(root) + 1] =
+  lattice->group_begin[root + 1] =
       static_cast<uint32_t>(lattice->child_begin.size());
-  lattice->child_begin.push_back(
-      static_cast<uint32_t>(lattice->children.size()));
+  lattice->child_begin.push_back(static_cast<uint32_t>(edges_.size()));
+  for (const Edge& edge : edges_) {
+    lattice->children[group_count_[edge.group]++] = edge.child;
+  }
 
   // Children have one more predicate than their parents, so visiting
-  // nodes by descending order solves every child first.
-  lattice->bottom_up.clear();
-  for (int order = registry_.max_order(); order >= 1; --order) {
-    for (int32_t node = 0; node < root; ++node) {
-      const size_t num_parents =
-          registry_.parents(lattice->cells[static_cast<size_t>(node)]).size();
-      if (std::max<int>(1, static_cast<int>(num_parents)) == order) {
-        lattice->bottom_up.push_back(node);
-      }
-    }
+  // nodes by descending order solves every child first. Within an order,
+  // nodes keep ascending node order.
+  uint32_t slot = 0;
+  for (int order = max_order; order >= 1; --order) {
+    const uint32_t count = order_count_[static_cast<size_t>(order)];
+    order_count_[static_cast<size_t>(order)] = slot;  // order's first slot
+    slot += count;
+  }
+  lattice->bottom_up.resize(root);
+  for (size_t node = 0; node < root; ++node) {
+    const size_t order = std::max<size_t>(
+        1, registry_.parents(lattice->cells[node]).size());
+    lattice->bottom_up[order_count_[order]++] = static_cast<int32_t>(node);
   }
   for (ExplId id : lattice->cells) node_of_[static_cast<size_t>(id)] = -1;
 }

@@ -45,6 +45,9 @@ struct TopExplanations {
   /// Ideal DCG of this list on its own segment (Eq. 4), cached by the
   /// SegmentExplainer so distance computations do not recompute it.
   double idcg = 0.0;
+  /// tau of each selected explanation on its own segment (aligned with
+  /// `ids`), cached by the SegmentExplainer for the same reason.
+  std::vector<int> taus;
 
   double TotalScore() const { return best.empty() ? 0.0 : best.back(); }
 };
@@ -77,13 +80,12 @@ class CascadingAnalysts {
   /// its lattice times m (complexity instrumentation for the benches).
   size_t last_nodes_visited() const { return nodes_visited_; }
 
- private:
-  // Drill-down forest over some registry cells, in CSR form. Node i stands
-  // for cells[i]; the root is node cells.size(). Node i's groups are
-  // [group_begin[i], group_begin[i + 1]), by attribute ascending; group
-  // g's children are children[child_begin[g] .. child_begin[g + 1]), by
-  // cell id ascending. That is the registry's order, which fixes the
-  // knapsack's summation order and so the exact bits of every score.
+  /// Drill-down forest over some registry cells, in CSR form. Node i stands
+  /// for cells[i]; the root is node cells.size(). Node i's groups are
+  /// [group_begin[i], group_begin[i + 1]), by attribute ascending; group
+  /// g's children are children[child_begin[g] .. child_begin[g + 1]), by
+  /// cell id ascending. That is the registry's order, which fixes the
+  /// knapsack's summation order and so the exact bits of every score.
   struct Lattice {
     std::vector<ExplId> cells;
     std::vector<bool> selectable;       // by node
@@ -92,10 +94,16 @@ class CascadingAnalysts {
     std::vector<int32_t> children;
     std::vector<int32_t> bottom_up;     // every node, highest order first
   };
+
+  /// The forest the last TopMRestricted call solved over (for tests).
+  const Lattice& restricted_lattice() const { return sub_; }
+
+ private:
+  // One drill-down edge while a lattice is built: the child's node and its
+  // group, parent node * attributes + the dropped attribute's rank.
   struct Edge {
-    int32_t parent;  // node
-    AttrId attr;
-    ExplId child;
+    uint32_t group;
+    int32_t child;
   };
 
   // Rebuilds `lattice` over `cells` (all selectable, the first nodes in
@@ -110,10 +118,18 @@ class CascadingAnalysts {
                    int32_t node, int q, std::vector<ExplId>* out);
 
   const ExplanationRegistry& registry_;
+  // Rank of each explain-by attribute among them, ascending by AttrId.
+  std::vector<uint32_t> attr_rank_;
+  size_t num_attrs_ = 1;
   Lattice full_;  // every registry cell; built by the first TopM call
   Lattice sub_;   // TopMRestricted's sub-lattice, rebuilt per call
-  std::vector<int32_t> node_of_;  // cell -> node while building, else -1
+  // BuildLattice scratch: cell -> node (else -1), and a bit per cell that
+  // is set while the cell is a node, so nodes are visited by ascending id.
+  std::vector<int32_t> node_of_;
+  std::vector<uint64_t> in_lattice_;
   std::vector<Edge> edges_;
+  std::vector<uint32_t> group_count_;  // by group, then its first child
+  std::vector<uint32_t> order_count_;  // by order, then its first slot
   int m_ = 0;
   std::vector<double> f_;   // f(node, q) at f_[node * (m_ + 1) + q]
   std::vector<double> dp_;  // knapsack rows

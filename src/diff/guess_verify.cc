@@ -12,55 +12,49 @@ constexpr double kScoreEps = 1e-9;
 
 }  // namespace
 
+size_t FirstRoundNeed(size_t epsilon, int m, int initial_guess) {
+  TSE_CHECK_GE(m, 1);
+  TSE_CHECK_GE(initial_guess, 1);
+  // The cap keeps guess + m in range: the initial guess comes from
+  // requests and may be INT_MAX.
+  return std::min(static_cast<size_t>(initial_guess), epsilon) +
+         static_cast<size_t>(m);
+}
+
 TopExplanations GuessVerifyTopM(CascadingAnalysts& solver,
                                 const std::vector<double>& gamma, int m,
                                 const std::vector<bool>* selectable,
                                 int initial_guess, GuessVerifyStats* stats) {
-  TSE_CHECK_GE(m, 1);
-  TSE_CHECK_GE(initial_guess, 1);
-  const size_t epsilon = gamma.size();
-  auto by_gamma_desc = [&gamma](ExplId a, ExplId b) {
-    const double ga = gamma[static_cast<size_t>(a)];
-    const double gb = gamma[static_cast<size_t>(b)];
-    if (ga != gb) return ga > gb;
-    return a < b;
-  };
+  TopCells top;
+  top.Reset(FirstRoundNeed(gamma.size(), m, initial_guess));
+  SelectTop(gamma, selectable, &top);
+  return GuessVerifyFromSelection(solver, gamma, m, selectable,
+                                  initial_guess, &top, stats);
+}
 
+TopExplanations GuessVerifyFromSelection(CascadingAnalysts& solver,
+                                         const std::vector<double>& gamma,
+                                         int m,
+                                         const std::vector<bool>* selectable,
+                                         int initial_guess, TopCells* top,
+                                         GuessVerifyStats* stats) {
+  const size_t epsilon = gamma.size();
   // chi: the selectable cells with positive score. A round needs only its
-  // top (guess + m) by by_gamma_desc; |chi| is known once a round's
-  // selection does not fill up. The cap keeps guess + m in range: the
-  // initial guess comes from requests and may be INT_MAX.
-  size_t guess = std::min(static_cast<size_t>(initial_guess), epsilon);
+  // top (guess + m); |chi| is known once a round's selection does not
+  // fill up.
+  size_t guess =
+      FirstRoundNeed(epsilon, m, initial_guess) - static_cast<size_t>(m);
+  TSE_CHECK_EQ(top->need(), guess + static_cast<size_t>(m));
   size_t chi_size = SIZE_MAX;  // unknown
   GuessVerifyStats local_stats;
-  std::vector<ExplId> top;
   std::vector<ExplId> candidates;
   for (;;) {
-    ++local_stats.iterations;
-    // One ascending scan. Ids above `floor` (the need-th best gamma kept so
-    // far; 0 stands for the gamma > 0 test) are buffered; a full buffer of
-    // 2 * need is cut back to its best need. A later id is larger, so it
-    // loses every gamma tie and must beat `floor` strictly.
-    const size_t need = guess + static_cast<size_t>(m);
-    auto keep_best = [&] {
-      std::nth_element(top.begin(),
-                       top.begin() + static_cast<std::ptrdiff_t>(need) - 1,
-                       top.end(), by_gamma_desc);
-      top.resize(need);
-      return gamma[static_cast<size_t>(top.back())];
-    };
-    top.clear();
-    double floor = 0.0;
-    for (size_t e = 0; e < epsilon; ++e) {
-      if (!(gamma[e] > floor)) continue;
-      if (selectable != nullptr && !(*selectable)[e]) continue;
-      top.push_back(static_cast<ExplId>(e));
-      if (top.size() == 2 * need) floor = keep_best();
+    if (++local_stats.iterations > 1) {
+      top->Reset(guess + static_cast<size_t>(m));
+      SelectTop(gamma, selectable, top);
     }
-    if (top.size() > need) keep_best();
-    std::sort(top.begin(), top.end(), by_gamma_desc);
-    if (top.size() < need) {
-      chi_size = top.size();
+    if (top->size() < top->need()) {
+      chi_size = top->size();
       guess = std::min(guess, chi_size);
     }
     if (guess == 0) {
@@ -75,8 +69,8 @@ TopExplanations GuessVerifyTopM(CascadingAnalysts& solver,
       return empty;
     }
 
-    candidates.assign(top.begin(),
-                      top.begin() + static_cast<std::ptrdiff_t>(guess));
+    candidates.resize(guess);
+    for (size_t i = 0; i < guess; ++i) candidates[i] = (*top)[i].id;
     TopExplanations result = solver.TopMRestricted(gamma, m, candidates);
 
     const bool covered_all = guess >= chi_size;
@@ -88,9 +82,7 @@ TopExplanations GuessVerifyTopM(CascadingAnalysts& solver,
         double upper = result.best[static_cast<size_t>(m_prime)];
         for (int j = 1; j <= m - m_prime; ++j) {
           const size_t idx = guess + static_cast<size_t>(j) - 1;
-          if (idx < top.size()) {
-            upper += gamma[static_cast<size_t>(top[idx])];
-          }
+          if (idx < top->size()) upper += (*top)[idx].gamma;
         }
         if (result.best[static_cast<size_t>(m)] < upper - kScoreEps) {
           verified = false;

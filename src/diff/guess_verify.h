@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "src/diff/cascading_analysts.h"
+#include "src/diff/top_cells.h"
 
 namespace tsexplain {
 
@@ -43,6 +44,22 @@ TopExplanations GuessVerifyTopM(CascadingAnalysts& solver,
                                 const std::vector<bool>* selectable = nullptr,
                                 int initial_guess = kDefaultInitialGuess,
                                 GuessVerifyStats* stats = nullptr);
+
+/// The first round's selection size: the initial guess (at most epsilon)
+/// plus m.
+size_t FirstRoundNeed(size_t epsilon, int m, int initial_guess);
+
+/// GuessVerifyTopM with its first round's selection already made: `top`
+/// holds the best FirstRoundNeed(gamma.size(), m, initial_guess)
+/// selectable cells of `gamma` (a finished TopCells, e.g. filled by
+/// ExplanationCube::ScoreSelect while it scored). Later rounds reselect
+/// into `top` with SelectTop.
+TopExplanations GuessVerifyFromSelection(CascadingAnalysts& solver,
+                                         const std::vector<double>& gamma,
+                                         int m,
+                                         const std::vector<bool>* selectable,
+                                         int initial_guess, TopCells* top,
+                                         GuessVerifyStats* stats = nullptr);
 
 }  // namespace tsexplain
 

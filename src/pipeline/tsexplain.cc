@@ -370,7 +370,7 @@ std::vector<ExplanationItem> TSExplain::ExplainSegment(int begin, int end) {
     item.id = top.ids[r];
     item.description = registry_->explanation(item.id).ToString(table_);
     item.gamma = top.gammas[r];
-    item.tau = explainer_->Score(item.id, begin, end).tau;
+    item.tau = top.taus[r];
     items.push_back(std::move(item));
   }
   return items;

@@ -12,11 +12,27 @@
 #ifndef TSEXPLAIN_SEG_NDCG_H_
 #define TSEXPLAIN_SEG_NDCG_H_
 
+#include <array>
+#include <cmath>
 #include <vector>
 
 #include "src/seg/segment_explainer.h"
 
 namespace tsexplain {
+
+/// log2(r + 2): Eq. 3's discount of the explanation at 0-based rank r
+/// (the paper's log2(rank + 1)). The first ranks' values are computed once.
+inline double RankDiscount(size_t r) {
+  static const std::array<double, 32> kDiscounts = [] {
+    std::array<double, 32> discounts{};
+    for (size_t i = 0; i < discounts.size(); ++i) {
+      discounts[i] = std::log2(static_cast<double>(i) + 2.0);
+    }
+    return discounts;
+  }();
+  return r < kDiscounts.size() ? kDiscounts[r]
+                               : std::log2(static_cast<double>(r) + 2.0);
+}
 
 /// DCG of a ranked list of rectified relevances (Eq. 3): relevance[r] is
 /// gamma-bar of the rank-(r+1) explanation.
@@ -35,11 +51,11 @@ double NdcgExplains(SegmentExplainer& explainer, int target_a, int target_b,
 
 /// Same computation with the two cached explanation lists already in hand
 /// (hot path for the distance library: avoids repeated cache lookups and
-/// reuses the precomputed ideal DCG).
+/// reuses the precomputed ideal DCG and the source list's own taus). Both
+/// lists must come from `explainer`'s TopFor.
 double NdcgFromTops(SegmentExplainer& explainer,
                     const TopExplanations& target_top, int target_a,
-                    int target_b, const TopExplanations& source_top,
-                    int source_a, int source_b);
+                    int target_b, const TopExplanations& source_top);
 
 }  // namespace tsexplain
 

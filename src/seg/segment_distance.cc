@@ -70,10 +70,10 @@ double SegmentDistFromTops(SegmentExplainer& explainer, VarianceMetric metric,
     case VarianceMetric::kSallpair: {
       const double n1 =
           NdcgFromTops(explainer, centroid_top, centroid_a, centroid_b,
-                       object_top, object_a, object_b);
+                       object_top);
       const double n2 =
           NdcgFromTops(explainer, object_top, object_a, object_b,
-                       centroid_top, centroid_a, centroid_b);
+                       centroid_top);
       const double similarity =
           squared ? std::sqrt((n1 * n1 + n2 * n2) / 2.0) : (n1 + n2) / 2.0;
       return std::clamp(1.0 - similarity, 0.0, 1.0);
@@ -83,7 +83,7 @@ double SegmentDistFromTops(SegmentExplainer& explainer, VarianceMetric metric,
       // How well the object's explanations explain the centroid (Eq. 8).
       const double n1 =
           NdcgFromTops(explainer, centroid_top, centroid_a, centroid_b,
-                       object_top, object_a, object_b);
+                       object_top);
       return std::clamp(1.0 - (squared ? n1 * n1 : n1), 0.0, 1.0);
     }
     case VarianceMetric::kDist2:
@@ -91,7 +91,7 @@ double SegmentDistFromTops(SegmentExplainer& explainer, VarianceMetric metric,
       // How well the centroid's explanations explain the object (Eq. 9).
       const double n2 =
           NdcgFromTops(explainer, object_top, object_a, object_b,
-                       centroid_top, centroid_a, centroid_b);
+                       centroid_top);
       return std::clamp(1.0 - (squared ? n2 * n2 : n2), 0.0, 1.0);
     }
   }

@@ -1,10 +1,10 @@
 #include "src/seg/segment_explainer.h"
 
-#include <cmath>
-
 #include "src/common/check.h"
 #include "src/common/thread_pool.h"
 #include "src/common/timer.h"
+#include "src/cube/score_kernels.h"
+#include "src/seg/ndcg.h"
 
 namespace tsexplain {
 namespace {
@@ -41,6 +41,7 @@ SegmentExplainer::SegmentExplainer(const ExplanationCube& cube,
   TSE_CHECK_GE(options_.m, 1);
   if (options_.active != nullptr) {
     TSE_CHECK_EQ(options_.active->size(), registry.num_explanations());
+    active_bits_ = PackActiveMask(*options_.active);
   }
 }
 
@@ -70,10 +71,19 @@ TopExplanations SegmentExplainer::ComputeTop(int a, int b) {
   double precompute_ms = 0.0;
   double cascading_ms = 0.0;
   {
-    // Module (a): batch-fill gamma for every (active) candidate cell.
+    // Module (a): one pass over the cells fills gamma (0 where inactive)
+    // and, under O1, makes guess-and-verify's first selection.
     ScopedTimer t(&precompute_ms);
-    cube_.ScoreAll(options_.metric, static_cast<size_t>(a),
-                   static_cast<size_t>(b), options_.active, &ws->gamma);
+    TopCells* top = nullptr;
+    if (options_.use_guess_verify) {
+      ws->top.Reset(FirstRoundNeed(ws->gamma.size(), options_.m,
+                                   options_.initial_guess));
+      top = &ws->top;
+    }
+    cube_.ScoreSelect(options_.metric, static_cast<size_t>(a),
+                      static_cast<size_t>(b),
+                      active_bits_.empty() ? nullptr : active_bits_.data(),
+                      &ws->gamma, top);
   }
 
   TopExplanations result;
@@ -81,16 +91,24 @@ TopExplanations SegmentExplainer::ComputeTop(int a, int b) {
     // Module (b): Cascading Analysts (optionally guess-and-verify).
     ScopedTimer t(&cascading_ms);
     if (options_.use_guess_verify) {
-      result = GuessVerifyTopM(ws->solver, ws->gamma, options_.m,
-                               options_.active, options_.initial_guess);
+      // Inactive cells score 0, so no later round's rescan selects them
+      // without consulting the mask.
+      result = GuessVerifyFromSelection(ws->solver, ws->gamma, options_.m,
+                                        /*selectable=*/nullptr,
+                                        options_.initial_guess, &ws->top);
     } else {
       result = ws->solver.TopM(ws->gamma, options_.m, options_.active);
     }
-    // Cache the ideal DCG (Eq. 4) for the distance computations.
+    // Cache the ideal DCG (Eq. 4) and each selection's change effect on
+    // this segment for the distance computations.
     result.idcg = 0.0;
-    for (size_t r = 0; r < result.gammas.size(); ++r) {
-      result.idcg +=
-          result.gammas[r] / std::log2(static_cast<double>(r) + 2.0);
+    result.taus.resize(result.ids.size());
+    for (size_t r = 0; r < result.ids.size(); ++r) {
+      result.idcg += result.gammas[r] / RankDiscount(r);
+      result.taus[r] = cube_.Score(options_.metric, result.ids[r],
+                                   static_cast<size_t>(a),
+                                   static_cast<size_t>(b))
+                           .tau;
     }
   }
   ReleaseWorkerState(std::move(ws));
@@ -159,6 +177,9 @@ DiffScore SegmentExplainer::Score(ExplId e, int a, int b) const {
 }
 
 void SegmentExplainer::ClearCache() {
+  if (options_.active != nullptr) {
+    active_bits_ = PackActiveMask(*options_.active);
+  }
   // Take each shard's lock: a racing TopFor must never observe a
   // half-cleared map (it previously iterated the shards unlocked, which
   // was a data race whenever the streaming pipeline cleared while a

@@ -2,9 +2,10 @@
 //
 // Bridges modules (a) and (b) of the pipeline: for a segment [a, b] it
 // fills the per-cell gamma vector from the cube (module (a), batched via
-// ExplanationCube::ScoreAll) and runs the Cascading Analysts algorithm
-// (module (b)), caching the result so every segment is explained at most
-// once per query. The K-Segmentation module asks for the same segments
+// ExplanationCube::ScoreSelect, which under O1 also makes guess-and-verify's
+// first selection in the same pass) and runs the Cascading Analysts
+// algorithm (module (b)), caching the result so every segment is explained
+// at most once per query. The K-Segmentation module asks for the same segments
 // repeatedly while computing distances and variances, so this cache is what
 // makes the n^3 phase feasible.
 //
@@ -37,7 +38,7 @@ namespace tsexplain {
 /// concurrent pre-warm the buckets sum per-thread elapsed time (CPU-like,
 /// may exceed wall clock).
 struct ExplainerTiming {
-  double precompute_ms = 0.0;  // module (a): gamma vector fills
+  double precompute_ms = 0.0;  // module (a): gamma fills (+ O1's round 1)
   double cascading_ms = 0.0;   // module (b): CA / guess-and-verify
 };
 
@@ -52,7 +53,7 @@ class SegmentExplainer {
     int initial_guess = kDefaultInitialGuess;
     /// Support-filter mask (nullptr = no filter). Inactive cells score 0
     /// and are never selected. The pointed-to mask must outlive this
-    /// object.
+    /// object; after changing it in place, call ClearCache.
     const std::vector<bool>* active = nullptr;
   };
 
@@ -74,10 +75,12 @@ class SegmentExplainer {
   /// not cached). Respects the support filter.
   DiffScore Score(ExplId e, int a, int b) const;
 
-  /// Resets the cache (used by the streaming pipeline when data changes).
-  /// Takes each shard's lock, so it is data-race-free against concurrent
-  /// TopFor — but references THOSE callers already hold become dangling,
-  /// so callers must still quiesce before clearing (see class comment).
+  /// Resets the cache (used by the streaming pipeline when data changes)
+  /// and re-packs the mask from Options::active. Takes each shard's lock,
+  /// so it is data-race-free against concurrent TopFor — but references
+  /// THOSE callers already hold become dangling, and the mask is re-packed
+  /// unlocked, so callers must still quiesce before clearing (see class
+  /// comment).
   void ClearCache();
 
   int n() const { return static_cast<int>(cube_.n()); }
@@ -91,14 +94,15 @@ class SegmentExplainer {
   size_t ca_invocations() const;
 
  private:
-  // One CA solver + gamma scratch, checked out for the duration of one
-  // cache-miss computation. Pooled so repeated invocations do not allocate
-  // and concurrent ones never share state.
+  // One CA solver + gamma and selection scratch, checked out for the
+  // duration of one cache-miss computation. Pooled so repeated invocations
+  // do not allocate and concurrent ones never share state.
   struct WorkerState {
     explicit WorkerState(const ExplanationRegistry& registry)
         : solver(registry) {}
     CascadingAnalysts solver;
     std::vector<double> gamma;
+    TopCells top;
   };
 
   // Single-flight cache entry: `ready` flips under the shard mutex once
@@ -123,6 +127,8 @@ class SegmentExplainer {
   const ExplanationCube& cube_;
   const ExplanationRegistry& registry_;
   Options options_;
+  // *options_.active packed for the scoring kernels (empty = no mask).
+  std::vector<uint64_t> active_bits_;
 
   std::vector<CacheShard> shards_;  // sized kNumShards
 

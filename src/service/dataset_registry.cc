@@ -226,10 +226,23 @@ std::shared_ptr<TSExplain> DatasetRegistry::BuildEngine(
                                        measure_idx, threads, &cost);
     }
   }
-  return std::make_shared<TSExplain>(
-      table, config,
-      resident.Covers(explain_by, config.max_order) ? &resident : nullptr,
-      cost);
+  if (!resident.Covers(explain_by, config.max_order)) {
+    return std::make_shared<TSExplain>(table, config, nullptr, cost);
+  }
+  // The live projection for this set and order, else a new one. The
+  // engine's own Project of it shares it outright.
+  Dataset::Projection& shared =
+      dataset.projections[{measure_idx, explain_by, config.max_order}];
+  Precomputation projection;
+  projection.measure_idx = measure_idx;
+  projection.registry = shared.registry.lock();
+  projection.partials = shared.partials.lock();
+  if (projection.registry == nullptr || projection.partials == nullptr) {
+    projection = resident.Project(explain_by, config.max_order, &cost);
+    projection.tuples.clear();  // engines keep only registry and partials
+    shared = {projection.registry, projection.partials};
+  }
+  return std::make_shared<TSExplain>(table, config, &projection, cost);
 }
 
 size_t DatasetRegistry::NumEngines() const {

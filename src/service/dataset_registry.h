@@ -24,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/common/mutex.h"
@@ -120,7 +121,9 @@ class DatasetRegistry {
   /// for its measure, which the first engine builds over every dimension
   /// (sorted by name, as canonical explain-by lists are) at its order —
   /// or over its own explain-by set when the all-dimension one would
-  /// enumerate more cells than the table has rows. An engine the resident
+  /// enumerate more cells than the table has rows. Engines over the same
+  /// explain-by set and order share one projection (registry and
+  /// partials) while any of them lives. An engine the resident
   /// precomputation does not cover (a dimension outside it, a higher
   /// order) builds its own. Building happens under the dataset's
   /// engine-map lock — concurrent requests for the SAME new engine (or
@@ -165,6 +168,15 @@ class DatasetRegistry {
     // (-1 = COUNT(*)); built by the first engine on that measure.
     std::map<int, Precomputation> precomputations
         TSE_GUARDED_BY(*engines_mu);
+    // The projections of those, by (measure index, explain-by set, order),
+    // held weakly: engines over the same set share one registry and one
+    // partials while any of them lives.
+    struct Projection {
+      std::weak_ptr<const ExplanationRegistry> registry;
+      std::weak_ptr<const CubePartials> partials;
+    };
+    std::map<std::tuple<int, std::vector<AttrId>, int>, Projection>
+        projections TSE_GUARDED_BY(*engines_mu);
   };
   // A new engine for `config` over `dataset`'s resident precomputation
   // (see GetOrBuildEngine).

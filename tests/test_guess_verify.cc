@@ -1,5 +1,8 @@
 // Unit tests for guess-and-verify (O1): must return EXACTLY the plain CA
-// result (Eq. 12 is a sufficient optimality condition).
+// result (Eq. 12 is a sufficient optimality condition), whether its first
+// round is selected by a separate scan or inside the scoring pass; and the
+// restricted solve's sort-free drill-down lattice must equal the
+// sort-based construction it replaced.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +16,7 @@
 
 #include "src/common/rng.h"
 #include "src/cube/explanation_cube.h"
+#include "src/cube/score_kernels.h"
 #include "src/cube/support_filter.h"
 #include "src/datagen/covid_sim.h"
 #include "src/datagen/deaths_sim.h"
@@ -248,6 +252,126 @@ TEST(GuessVerifyEquivalence, RandomLattices) {
   }
 }
 
+// The restricted solve's drill-down lattice as it was built before the
+// counting sorts: nodes are the candidates then their ancestors breadth
+// first; edges are sorted by (parent node, attribute, child id); bottom_up
+// scans every node once per order.
+CascadingAnalysts::Lattice SortedLattice(const ExplanationRegistry& reg,
+                                         const std::vector<ExplId>& cells) {
+  CascadingAnalysts::Lattice lattice;
+  std::vector<int32_t> node_of(reg.num_explanations(), -1);
+  auto add = [&](ExplId id, bool selectable) {
+    int32_t& node = node_of[static_cast<size_t>(id)];
+    if (node >= 0) return;
+    node = static_cast<int32_t>(lattice.cells.size());
+    lattice.cells.push_back(id);
+    lattice.selectable.push_back(selectable);
+  };
+  for (ExplId id : cells) add(id, true);
+  for (size_t i = 0; i < lattice.cells.size(); ++i) {
+    for (ExplId parent : reg.parents(lattice.cells[i])) add(parent, false);
+  }
+  struct Edge {
+    int32_t parent;
+    AttrId attr;
+    ExplId child;
+  };
+  const int32_t root = static_cast<int32_t>(lattice.cells.size());
+  std::vector<Edge> edges;
+  for (int32_t node = 0; node < root; ++node) {
+    const ExplId id = lattice.cells[static_cast<size_t>(node)];
+    const auto& preds = reg.explanation(id).predicates();
+    const auto parents = reg.parents(id);
+    if (parents.size() == 0) edges.push_back(Edge{root, preds[0].attr, id});
+    for (size_t i = 0; i < parents.size(); ++i) {
+      edges.push_back(Edge{node_of[static_cast<size_t>(parents[i])],
+                           preds[i].attr, id});
+    }
+  }
+  std::sort(edges.begin(), edges.end(), [](const Edge& x, const Edge& y) {
+    if (x.parent != y.parent) return x.parent < y.parent;
+    if (x.attr != y.attr) return x.attr < y.attr;
+    return x.child < y.child;
+  });
+  lattice.group_begin.assign(static_cast<size_t>(root) + 2, 0);
+  size_t e = 0;
+  for (int32_t node = 0; node <= root; ++node) {
+    lattice.group_begin[static_cast<size_t>(node)] =
+        static_cast<uint32_t>(lattice.child_begin.size());
+    for (; e < edges.size() && edges[e].parent == node; ++e) {
+      if (e == 0 || edges[e - 1].parent != node ||
+          edges[e - 1].attr != edges[e].attr) {
+        lattice.child_begin.push_back(
+            static_cast<uint32_t>(lattice.children.size()));
+      }
+      lattice.children.push_back(node_of[static_cast<size_t>(edges[e].child)]);
+    }
+  }
+  lattice.group_begin[static_cast<size_t>(root) + 1] =
+      static_cast<uint32_t>(lattice.child_begin.size());
+  lattice.child_begin.push_back(static_cast<uint32_t>(lattice.children.size()));
+  for (int order = reg.max_order(); order >= 1; --order) {
+    for (int32_t node = 0; node < root; ++node) {
+      const size_t num_parents =
+          reg.parents(lattice.cells[static_cast<size_t>(node)]).size();
+      if (std::max<int>(1, static_cast<int>(num_parents)) == order) {
+        lattice.bottom_up.push_back(node);
+      }
+    }
+  }
+  return lattice;
+}
+
+TEST(RestrictedLattice, CountingSortsMatchTheSortedBuild) {
+  Rng rng(1911);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int num_attrs = static_cast<int>(rng.UniformInt(1, 4));
+    const Table table = MakeRandomTable(rng, num_attrs);
+    // Explain-by in a shuffled order: groups follow AttrId, not this list.
+    std::vector<AttrId> explain_by(static_cast<size_t>(num_attrs));
+    for (int a = 0; a < num_attrs; ++a) explain_by[static_cast<size_t>(a)] = a;
+    for (size_t i = explain_by.size(); i > 1; --i) {
+      std::swap(explain_by[i - 1],
+                explain_by[static_cast<size_t>(rng.UniformInt(
+                    0, static_cast<int64_t>(i) - 1))]);
+    }
+    const int order = static_cast<int>(rng.UniformInt(1, num_attrs));
+    const auto reg = ExplanationRegistry::Build(table, explain_by, order);
+    const size_t eps = reg.num_explanations();
+    // Candidates in a random order (the solver gets them by gamma), with
+    // the occasional duplicate.
+    std::vector<ExplId> candidates;
+    for (size_t e = 0; e < eps; ++e) {
+      if (rng.NextBool(trial % 4 == 0 ? 1.0 : 0.3)) {
+        candidates.push_back(static_cast<ExplId>(e));
+      }
+    }
+    for (size_t i = candidates.size(); i > 1; --i) {
+      std::swap(candidates[i - 1],
+                candidates[static_cast<size_t>(rng.UniformInt(
+                    0, static_cast<int64_t>(i) - 1))]);
+    }
+    if (!candidates.empty() && rng.NextBool(0.2)) {
+      candidates.push_back(candidates.front());
+    }
+    CascadingAnalysts solver(reg);
+    const std::vector<double> gamma = RandomGammas(rng, eps, false);
+    // Twice: the second build reuses the solver's scratch.
+    for (int pass = 0; pass < 2; ++pass) {
+      solver.TopMRestricted(gamma, 3, candidates);
+      const CascadingAnalysts::Lattice& got = solver.restricted_lattice();
+      const CascadingAnalysts::Lattice want = SortedLattice(reg, candidates);
+      const std::string where = "trial " + std::to_string(trial);
+      EXPECT_EQ(got.cells, want.cells) << where;
+      EXPECT_EQ(got.selectable, want.selectable) << where;
+      EXPECT_EQ(got.group_begin, want.group_begin) << where;
+      EXPECT_EQ(got.child_begin, want.child_begin) << where;
+      EXPECT_EQ(got.children, want.children) << where;
+      EXPECT_EQ(got.bottom_up, want.bottom_up) << where;
+    }
+  }
+}
+
 // Rows of `table` in its first `buckets` time buckets.
 std::unique_ptr<Table> TimePrefix(const Table& table, size_t buckets) {
   auto prefix = std::make_unique<Table>(table.schema());
@@ -290,15 +414,32 @@ void ExpectGuessVerifyMatchesVanilla(const Table& table,
   }
   CascadingAnalysts vanilla(reg);
   CascadingAnalysts solver(reg);
+  const std::vector<uint64_t> packed = PackActiveMask(active);
   std::vector<double> gamma(reg.num_explanations());
+  std::vector<double> fused_gamma(reg.num_explanations());
+  TopCells top;
   size_t explained = 0;
   for (const auto& [a, b] : segments) {
+    const std::string where =
+        label + " segment " + std::to_string(a) + "-" + std::to_string(b);
     cube.ScoreAll(DiffMetricKind::kAbsoluteChange, static_cast<size_t>(a),
                   static_cast<size_t>(b), &active, &gamma);
     const TopExplanations expected = vanilla.TopM(gamma, 3, &active);
     ExpectSameTop(GuessVerifyTopM(solver, gamma, 3, &active), expected,
-                  label + " segment " + std::to_string(a) + "-" +
-                      std::to_string(b));
+                  where);
+    // The engine's path: round 1 selected while scoring, later rounds
+    // rescanning gammas whose inactive cells are 0.
+    for (const int guess : {1, 2, kDefaultInitialGuess}) {
+      top.Reset(FirstRoundNeed(gamma.size(), 3, guess));
+      cube.ScoreSelect(DiffMetricKind::kAbsoluteChange,
+                       static_cast<size_t>(a), static_cast<size_t>(b),
+                       packed.data(), &fused_gamma, &top);
+      EXPECT_TRUE(SameBits(fused_gamma, gamma)) << where;
+      ExpectSameTop(GuessVerifyFromSelection(solver, fused_gamma, 3, nullptr,
+                                             guess, &top),
+                    GuessVerifyTopM(solver, gamma, 3, &active, guess),
+                    where + " fused guess " + std::to_string(guess));
+    }
     explained += expected.ids.empty() ? 0 : 1;
   }
   EXPECT_GT(explained, segments.size() / 2) << label;

@@ -410,6 +410,57 @@ TEST(PrecomputationService, DropFreesThePrecomputation) {
   EXPECT_TRUE(projected.expired());
 }
 
+// The three aggregate/diff variants of one explain-by pair (as in the
+// cold_liquor key set) share one projection, answer like standalone runs,
+// and free it with the registration and the last lease.
+TEST(PrecomputationService, VariantsOfOneSetShareOneProjection) {
+  const auto table = MakeTable();
+  DatasetRegistry registry;
+  std::string error;
+  ASSERT_TRUE(registry.RegisterTable("ds", table, "<table>", &error));
+  TSExplainConfig sum_abs;
+  sum_abs.measure = "amount";
+  sum_abs.explain_by_names = {"bank", "item"};
+  sum_abs.max_k = 6;
+  sum_abs.use_filter = sum_abs.use_guess_verify = true;
+  TSExplainConfig avg_rel = sum_abs;
+  avg_rel.aggregate = AggregateFunction::kAvg;
+  avg_rel.diff_metric = DiffMetricKind::kRelativeChange;
+  TSExplainConfig sum_rr = sum_abs;
+  sum_rr.diff_metric = DiffMetricKind::kRiskRatio;
+  const std::vector<TSExplainConfig> variants = {sum_abs, avg_rel, sum_rr};
+
+  const uint64_t projections = CounterValue("engine.projections");
+  std::vector<EngineHandle> handles;
+  for (const TSExplainConfig& config : variants) {
+    handles.push_back(registry.GetOrBuildEngine(
+        "ds", "variant" + std::to_string(handles.size()), config,
+        table.get(), &error));
+    ASSERT_TRUE(handles.back().ok()) << error;
+  }
+  // The first engine builds the all-dimension superset and projects the
+  // pair from it; the other two share that projection.
+  EXPECT_EQ(CounterValue("engine.projections") - projections, 1u);
+  const std::shared_ptr<const CubePartials>& partials =
+      handles[0].engine->cube().partials();
+  EXPECT_EQ(handles[1].engine->cube().partials(), partials);
+  EXPECT_EQ(handles[2].engine->cube().partials(), partials);
+  EXPECT_EQ(&handles[1].engine->registry(), &handles[0].engine->registry());
+  for (size_t i = 0; i < variants.size(); ++i) {
+    ExpectSameResult(TSExplain(*table, variants[i]).Run(),
+                     handles[i].engine->Run(),
+                     "variant " + std::to_string(i));
+  }
+
+  const std::weak_ptr<const CubePartials> watched = partials;
+  ASSERT_TRUE(registry.Drop("ds"));
+  handles.pop_back();
+  handles.pop_back();
+  EXPECT_FALSE(watched.expired());  // the last lease still holds it
+  handles.clear();
+  EXPECT_TRUE(watched.expired());
+}
+
 TEST(PrecomputationService, SessionAppendsLeaveTheResidentUntouched) {
   const auto table = MakeTable();
   DatasetRegistry registry;

@@ -3,12 +3,16 @@
 // pair, every stream length (including odd tails), and every guard-firing
 // input, the AVX2 path must produce byte-identical doubles to the scalar
 // reference — and the cube-level batch scorer must equal per-candidate
-// Score() under any active mask. On machines without AVX2 (or builds with
-// TSEXPLAIN_SIMD=OFF) the vector cases skip; the scalar/cube properties
-// still run.
+// Score() under any active mask. The fused mode (packed mask + first-round
+// selection in the same pass) must equal plain scoring followed by masking
+// and the two-pass selection it replaced. On machines without AVX2 (or
+// builds with TSEXPLAIN_SIMD=OFF) the vector cases skip; the scalar/cube
+// properties still run.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -16,6 +20,7 @@
 #include "src/cube/explanation_cube.h"
 #include "src/cube/score_kernels.h"
 #include "src/cube/support_filter.h"
+#include "src/diff/guess_verify.h"
 #include "src/diff/explanation_registry.h"
 #include "src/table/group_by.h"
 
@@ -180,6 +185,145 @@ TEST(SimdScore, AutoDispatchMatchesScalar) {
       ExpectBitIdentical(scalar, automatic);
     }
   }
+}
+
+// --- Fused score + select ----------------------------------------------------
+
+// The selection guess-and-verify made before it was fused into the scoring
+// pass: a second scan over the masked gammas buffering ids above the
+// need-th best gamma kept so far, cut back with nth_element whenever 2 *
+// need are buffered, then sorted.
+std::vector<ExplId> TwoPassSelection(const std::vector<double>& gamma,
+                                     const std::vector<bool>* selectable,
+                                     size_t need) {
+  auto by_gamma_desc = [&gamma](ExplId a, ExplId b) {
+    const double ga = gamma[static_cast<size_t>(a)];
+    const double gb = gamma[static_cast<size_t>(b)];
+    if (ga != gb) return ga > gb;
+    return a < b;
+  };
+  std::vector<ExplId> top;
+  auto keep_best = [&] {
+    std::nth_element(top.begin(),
+                     top.begin() + static_cast<std::ptrdiff_t>(need) - 1,
+                     top.end(), by_gamma_desc);
+    top.resize(need);
+    return gamma[static_cast<size_t>(top.back())];
+  };
+  double floor = 0.0;
+  for (size_t e = 0; e < gamma.size(); ++e) {
+    if (!(gamma[e] > floor)) continue;
+    if (selectable != nullptr && !(*selectable)[e]) continue;
+    top.push_back(static_cast<ExplId>(e));
+    if (top.size() == 2 * need) floor = keep_best();
+  }
+  if (top.size() > need) keep_best();
+  std::sort(top.begin(), top.end(), by_gamma_desc);
+  return top;
+}
+
+// Streams whose gammas take a handful of values, so many cells tie exactly
+// at the running floor: slice sums cycle through three magnitudes.
+Streams MakeTiedStreams(size_t epsilon) {
+  Streams s;
+  for (size_t e = 0; e < epsilon; ++e) {
+    s.test_sums.push_back(static_cast<double>(e * 7 % 3) * 4.0);
+    s.test_counts.push_back(static_cast<double>(e % 2) + 1.0);
+    s.control_sums.push_back(0.0);
+    s.control_counts.push_back(1.0);
+  }
+  return s;
+}
+
+std::vector<size_t> FusedLengths() {
+  std::vector<size_t> lengths;
+  for (size_t e = 1; e <= 9; ++e) lengths.push_back(e);
+  for (size_t k : {3u, 16u, 100u}) {
+    for (size_t r = 1; r <= 3; ++r) lengths.push_back(4 * k + r);
+  }
+  return lengths;
+}
+
+// The kernel `kernel` in fused mode against ScoreAllScalar + mask + the
+// two-pass selection, for every length, mask, guess and aggregate x metric.
+void ExpectFusedMatchesTwoPass(bool (*kernel)(const ScoreAllInputs&,
+                                              double*)) {
+  const AggState ot{812.5, 96.0};
+  const AggState oc{-443.25, 80.0};
+  const int m = 3;
+  for (size_t epsilon : FusedLengths()) {
+    std::vector<bool> all(epsilon, true), none(epsilon, false),
+        alternating(epsilon);
+    for (size_t e = 0; e < epsilon; ++e) alternating[e] = e % 2 == 0;
+    const std::vector<const std::vector<bool>*> masks = {nullptr, &all,
+                                                         &none, &alternating};
+    for (const bool tied : {false, true}) {
+      const Streams s = tied ? MakeTiedStreams(epsilon)
+                             : MakeStreams(epsilon, ot, oc, epsilon * 13 + 1);
+      for (AggregateFunction f : kAggs) {
+        for (DiffMetricKind kind : kKinds) {
+          ScoreAllInputs plain = MakeInputs(f, kind, ot, oc, s);
+          std::vector<double> reference(epsilon);
+          ScoreAllScalar(plain, reference.data());
+          for (const std::vector<bool>* mask : masks) {
+            std::vector<double> masked = reference;
+            std::vector<uint64_t> packed;
+            if (mask != nullptr) {
+              for (size_t e = 0; e < epsilon; ++e) {
+                if (!(*mask)[e]) masked[e] = 0.0;
+              }
+              packed = PackActiveMask(*mask);
+            }
+            // 100: a selection past TopCells::kRankedLimit that still cuts
+            // back on the longest streams.
+            for (const int guess : {1, 2, 30, 100, INT_MAX}) {
+              SCOPED_TRACE(testing::Message()
+                           << "epsilon=" << epsilon << " tied=" << tied
+                           << " f=" << static_cast<int>(f)
+                           << " kind=" << static_cast<int>(kind)
+                           << " mask=" << (mask == nullptr ? -1
+                                           : mask == &all  ? 0
+                                           : mask == &none ? 1
+                                                           : 2)
+                           << " guess=" << guess);
+              const size_t need = FirstRoundNeed(epsilon, m, guess);
+              const std::vector<ExplId> want =
+                  TwoPassSelection(masked, mask, need);
+              ScoreAllInputs fused = plain;
+              fused.active = mask == nullptr ? nullptr : packed.data();
+              TopCells top;
+              top.Reset(need);
+              fused.top = &top;
+              std::vector<double> got(epsilon, -1.0);
+              ASSERT_TRUE(kernel(fused, got.data()));
+              ExpectBitIdentical(masked, got);
+              ASSERT_EQ(top.size(), want.size());
+              for (size_t i = 0; i < want.size(); ++i) {
+                EXPECT_EQ(top[i].id, want[i]) << "rank " << i;
+                const double g = masked[static_cast<size_t>(want[i])];
+                EXPECT_EQ(std::memcmp(&top[i].gamma, &g, sizeof(double)), 0)
+                    << "rank " << i;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdScore, FusedScalarMatchesTwoPassSelection) {
+  ExpectFusedMatchesTwoPass(+[](const ScoreAllInputs& in, double* out) {
+    ScoreAllScalar(in, out);
+    return true;
+  });
+}
+
+TEST(SimdScore, FusedAvx2MatchesTwoPassSelection) {
+  if (!ScoreAllAvx2(ScoreAllInputs{}, nullptr)) {
+    GTEST_SKIP() << "AVX2 unavailable (CPU or build); scalar-only dispatch";
+  }
+  ExpectFusedMatchesTwoPass(&ScoreAllAvx2);
 }
 
 // --- Cube level ------------------------------------------------------------

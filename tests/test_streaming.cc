@@ -283,6 +283,41 @@ TEST(Streaming, SegmentsMatchAFreshBatchEngineAfterAppends) {
   }
 }
 
+// A category too small for the support filter in the prefix turns large in
+// an appended bucket. The append flips its support; the engine re-derives
+// the mask its fused score-and-select pass reads, and the session's
+// segments equal a fresh batch engine's.
+TEST(Streaming, SupportFlipRefreshesTheScoringMask) {
+  const SyntheticDataset full = MakeDataset(31);
+  TSExplainConfig config = BaseConfig();
+  config.use_filter = config.use_guess_verify = true;
+  Table prefix = Prefix(*full.table, 60);
+  for (int t = 0; t < 60; ++t) {
+    prefix.AppendRow(static_cast<TimeId>(t), {"rare"}, {1e-3});
+  }
+  StreamingTSExplain streaming(prefix, config);
+  const TSExplainResult before = streaming.Explain();
+  ExpectMatchesFreshBatch(streaming, config, before);
+  for (int t = 60; t < 66; ++t) {
+    std::vector<StreamRow> rows =
+        BucketRows(*full.table, static_cast<TimeId>(t));
+    rows.push_back(StreamRow{{"rare"}, {t >= 62 ? 1e6 : 1e-3}});
+    streaming.AppendBucket(
+        full.table->time_labels()[static_cast<size_t>(t)], rows);
+    ASSERT_FALSE(streaming.last_append_rebuilt());
+  }
+  const TSExplainResult after = streaming.Explain();
+  EXPECT_EQ(after.filtered_epsilon, before.filtered_epsilon + 1);
+  ExpectMatchesFreshBatch(streaming, config, after);
+  bool surfaced = false;
+  for (const SegmentExplanation& seg : after.segments) {
+    for (const ExplanationItem& item : seg.top) {
+      surfaced = surfaced || item.description == "category=rare";
+    }
+  }
+  EXPECT_TRUE(surfaced);
+}
+
 TEST(Streaming, ExcludedPredicateNeverSurfaces) {
   const SyntheticDataset full = MakeDataset(29);
   TSExplainConfig config = BaseConfig();
